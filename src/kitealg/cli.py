@@ -172,9 +172,9 @@ def parse_spec(text: str) -> KiteSpec:
             blocks = parse_blocks(blocks_text, n)
         except SpecError as exc:
             raise SpecError(str(exc), blocks_line)
-    bound = int(take("bound", "2")[0])
-    samples = int(take("samples", "500")[0])
-    seed = int(take("seed", "0")[0])
+    bound = parse_count("bound", *take("bound", "2"))
+    samples = parse_count("samples", *take("samples", "500"))
+    seed = parse_int("seed", *take("seed", "0"))
     try:
         parse_group(group_desc)
     except ValueError as exc:
@@ -182,6 +182,21 @@ def parse_spec(text: str) -> KiteSpec:
     if fields:
         raise SpecError(f"unknown fields: {sorted(fields)}")
     return KiteSpec(group_desc, n, lam, rho, blocks, bound, samples, seed)
+
+
+def parse_int(name: str, text, line=None) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecError(f"bad {name}: {text!r}", line)
+
+
+def parse_count(name: str, text, line=None) -> int:
+    """A non-negative integer field (bound, samples)."""
+    value = parse_int(name, text, line)
+    if value < 0:
+        raise SpecError(f"bad {name}: {value} is negative", line)
+    return value
 
 
 def _split_assignments(line: str) -> list[str]:
@@ -534,13 +549,13 @@ def main(argv=None) -> int:
             env_seed = os.environ.get("KITEALG_SEED")
             overrides = {}
             if args.bound is not None:
-                overrides["bound"] = args.bound
+                overrides["bound"] = parse_count("--bound", args.bound)
             if args.samples is not None:
-                overrides["samples"] = args.samples
+                overrides["samples"] = parse_count("--samples", args.samples)
             if args.seed is not None:
                 overrides["seed"] = args.seed
             elif env_seed is not None:
-                overrides["seed"] = int(env_seed)
+                overrides["seed"] = parse_int("KITEALG_SEED", env_seed)
             if overrides:
                 from dataclasses import replace
                 spec = replace(spec, **overrides)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from kitealg.verdict import Verdict, merge
 
@@ -101,11 +102,13 @@ class IndexSystem:
     def from_one_based(lam, rho) -> "IndexSystem":
         return IndexSystem(len(lam), tuple(i - 1 for i in lam), tuple(i - 1 for i in rho))
 
-    @property
+    # computed once per system: cached_property writes the instance dict
+    # directly, so it works on a frozen dataclass
+    @cached_property
     def lam_inv(self) -> Perm:
         return perm_inverse(self.lam)
 
-    @property
+    @cached_property
     def rho_inv(self) -> Perm:
         return perm_inverse(self.rho)
 

@@ -85,36 +85,32 @@ class KiteAlgebra:
         self._check(x)
         self._check(y)
         if x.tag == y.tag:
-            return all(self.G.leq(a, b) for a, b in zip(x.coords, y.coords))
+            return all(map(self.G.leq, x.coords, y.coords))
         return x.tag == LOWER  # every Lower sits below every Upper
 
     def add(self, x: KiteElement, y: KiteElement) -> Optional[KiteElement]:
-        """The twisted partial sum; None when undefined."""
+        """The twisted partial sum; None when undefined.
+
+        A mixed sum is defined iff f <= a^-1 in every coordinate, where f is
+        the Lower coordinate and a the stored Upper one.  By translation
+        invariance that is f.a <= e (Lower + Upper) or a.f <= e (Upper +
+        Lower), so each coordinate's product is computed once and its cone
+        tested.
+        """
         self._check(x)
         self._check(y)
-        G, sys = self.G, self.sys
-        if x.tag == UPPER and y.tag == UPPER:
+        if x.tag == LOWER:
+            if y.tag == LOWER:
+                return KiteElement(LOWER, self.G.op_each(x.coords, y.coords))
+            # Lower + Upper, twisted by lambda
+            coords = self.G.op_each_negative(
+                map(x.coords.__getitem__, self.sys.lam_inv), y.coords)
+        elif y.tag == UPPER:
             return None
-        if x.tag == LOWER and y.tag == LOWER:
-            return KiteElement(LOWER, tuple(G.op(f, g) for f, g in zip(x.coords, y.coords)))
-        if x.tag == UPPER:  # Upper + Lower, twisted by rho
-            rho_inv = sys.rho_inv
-            out = []
-            for i in range(sys.n):
-                a_inv, f = x.coords[i], y.coords[rho_inv[i]]
-                if not G.leq(f, G.inv(a_inv)):
-                    return None
-                out.append(G.op(a_inv, f))
-            return KiteElement(UPPER, tuple(out))
-        # Lower + Upper, twisted by lambda
-        lam_inv = sys.lam_inv
-        out = []
-        for i in range(sys.n):
-            f, a_inv = x.coords[lam_inv[i]], y.coords[i]
-            if not G.leq(f, G.inv(a_inv)):
-                return None
-            out.append(G.op(f, a_inv))
-        return KiteElement(UPPER, tuple(out))
+        else:  # Upper + Lower, twisted by rho
+            coords = self.G.op_each_negative(
+                x.coords, map(y.coords.__getitem__, self.sys.rho_inv))
+        return None if coords is None else KiteElement(UPPER, coords)
 
     # -- complements and differences ---------------------------------------
 

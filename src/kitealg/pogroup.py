@@ -10,6 +10,7 @@ flatten left-first), which gives stable hashing and report output.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -29,7 +30,12 @@ class PreconditionError(ValueError):
 class PoGroup:
     """A group with a decidable translation-invariant partial order.
 
-    Subclasses supply the carrier.  Instances are immutable and all
+    Subclasses supply the carrier: ``identity``, and ``op``, ``inv`` and
+    ``leq`` as ordinary methods (perfbench/tracing.py wraps them as plain
+    functions).  The cone tests ``is_positive``/``is_negative`` and the
+    whole-tuple operations ``op_each``/``op_each_negative`` have generic
+    defaults built on those; a group overrides them only for speed, and the
+    overrides must agree with the defaults.  Instances are immutable and all
     operations are pure, so they are safe to share between workers.
     """
 
@@ -74,6 +80,23 @@ class PoGroup:
     def positive_box(self, bound: int) -> list[Element]:
         return [g for g in self.enumerate_box(bound) if self.is_positive(g)]
 
+    # Whole-tuple operations on coordinate sequences of equal length.
+
+    def op_each(self, xs, ys) -> tuple:
+        """The coordinatewise products (x_i y_i)."""
+        return tuple(map(self.op, xs, ys))
+
+    def op_each_negative(self, xs, ys) -> tuple | None:
+        """``op_each(xs, ys)`` when every product lies in the negative cone,
+        else None (stops at the first product outside it)."""
+        out = []
+        for x, y in zip(xs, ys):
+            p = self.op(x, y)
+            if not self.is_negative(p):
+                return None
+            out.append(p)
+        return tuple(out)
+
     def __repr__(self) -> str:
         return self.name
 
@@ -97,6 +120,19 @@ class IntegerGroup(PoGroup):
     def leq(self, a, b):
         return a <= b
 
+    def is_positive(self, a):
+        return a >= 0
+
+    def is_negative(self, a):
+        return a <= 0
+
+    def op_each(self, xs, ys):
+        return tuple(map(operator.add, xs, ys))
+
+    def op_each_negative(self, xs, ys):
+        out = tuple(map(operator.add, xs, ys))
+        return out if max(out, default=0) <= 0 else None
+
     def meet(self, a, b):
         return min(a, b)
 
@@ -119,20 +155,33 @@ class VectorGroup(PoGroup):
         self.name = f"Z^{k}"
 
     def op(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inv(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(operator.neg, a))
 
     @property
     def identity(self):
         return (0,) * self.k
 
     def leq(self, a, b):
-        return all(x <= y for x, y in zip(a, b))
+        return all(map(operator.le, a, b))
+
+    def is_positive(self, a):
+        return min(a) >= 0
+
+    def is_negative(self, a):
+        return max(a) <= 0
+
+    def op_each(self, xs, ys):
+        return tuple(map(tuple, map(map, itertools.repeat(operator.add), xs, ys)))
+
+    def op_each_negative(self, xs, ys):
+        out = self.op_each(xs, ys)
+        return out if max(map(max, out), default=0) <= 0 else None
 
     def meet(self, a, b):
-        return tuple(min(x, y) for x, y in zip(a, b))
+        return tuple(map(min, a, b))
 
     def enumerate_box(self, bound):
         return [t for t in itertools.product(range(-bound, bound + 1), repeat=self.k)]
@@ -145,6 +194,7 @@ class _ProductBase(PoGroup):
     def __init__(self, left: PoGroup, right: PoGroup):
         self.left = left
         self.right = right
+        self._identity = (left.identity, right.identity)
 
     def op(self, a, b):
         return (self.left.op(a[0], b[0]), self.right.op(a[1], b[1]))
@@ -154,7 +204,7 @@ class _ProductBase(PoGroup):
 
     @property
     def identity(self):
-        return (self.left.identity, self.right.identity)
+        return self._identity
 
     def enumerate_box(self, bound):
         return [
@@ -203,7 +253,7 @@ class LoopGroup(PoGroup):
     """
 
     def __init__(self, loop):
-        if not loop.commutation_test():
+        if not loop.twists_commute():
             raise PreconditionError("loop is not associative; not a group")
         self.loop = loop
         self.name = f"group({loop.name})"
@@ -230,7 +280,7 @@ class LoopGroup(PoGroup):
 
     def encode(self, a):
         return (a.m,) + tuple(
-            c for g in a.coords for c in self.loop.group.encode(g)
+            c for g in a.coords for c in self.loop.G.encode(g)
         )
 
 
@@ -285,13 +335,6 @@ class GroupHom:
 
     def __call__(self, g: Element) -> Element:
         return self.fn(g)
-
-
-def compose_homs(outer: GroupHom, inner: GroupHom) -> GroupHom:
-    return GroupHom(
-        inner.source, outer.target, lambda g: outer(inner(g)),
-        name=f"{outer.name}.{inner.name}",
-    )
 
 
 def check_hom(h: GroupHom, bound: int) -> Verdict:

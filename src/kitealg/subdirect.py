@@ -63,7 +63,7 @@ def project_component(A: KiteAlgebra, comp, x: KiteElement) -> KiteElement:
     Upper coordinates over I'."""
     kernel = comp if isinstance(comp, ComponentKernel) else component_kernel(A.sys, comp)
     indices = kernel.preimage if x.tag == LOWER else kernel.component
-    return KiteElement(x.tag, tuple(x.coords[i] for i in indices))
+    return KiteElement(x.tag, tuple(map(x.coords.__getitem__, indices)))
 
 
 def reconstruct(A: KiteAlgebra, kernels, pieces) -> KiteElement:

@@ -85,6 +85,10 @@ class TestParseSpec:
         ("n=2\nlambda=[1,2]\nrho=[2,1]\nfoo=1", "unknown fields"),
         ("n=2\nlambda=[2,2]\nrho=[1,2]", "invalid-permutation"),
         ("group=Q\nn=1\nlambda=[1]\nrho=[1]", "group"),
+        ("n=1\nlambda=[1]\nrho=[1]\nbound=x", r"bad bound: 'x' \(line 4\)"),
+        ("n=1\nlambda=[1]\nrho=[1]\nbound=-1", r"bad bound: -1 is negative \(line 4\)"),
+        ("n=1\nlambda=[1]\nrho=[1]\nsamples=-5", r"bad samples: -5 is negative"),
+        ("n=1\nlambda=[1]\nrho=[1]\nseed=1.5", r"bad seed: '1.5'"),
     ])
     def test_errors(self, text, fragment):
         with pytest.raises(SpecError, match=fragment):
@@ -211,6 +215,31 @@ class TestMain:
     def test_paper_examples_entry(self, capsys):
         assert main(["paper-examples"]) == EXIT_PASS
         assert "overall: PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["loop", "--bound", "-1"], "bad --bound: -1 is negative"),
+        (["subdirect", "--bound", "-2"], "bad --bound: -2 is negative"),
+        (["axioms", "--samples", "-5"], "bad --samples: -5 is negative"),
+    ])
+    def test_negative_override_is_usage(self, tmp_path, capsys, argv, message):
+        spec_path = tmp_path / "ex.kite"
+        spec_path.write_text(EX82_SPEC)
+        assert main(argv + ["--spec", str(spec_path)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["bound = x", "bound = -1", "samples = -5"])
+    def test_bad_spec_number_is_usage(self, tmp_path, capsys, field):
+        spec_path = tmp_path / "bad.kite"
+        spec_path.write_text(EX82_SPEC + field + "\n")
+        assert main(["axioms", "--spec", str(spec_path)]) == EXIT_USAGE
+        assert "line 9" in capsys.readouterr().err
+
+    def test_bad_env_seed_is_usage(self, tmp_path, capsys, monkeypatch):
+        spec_path = tmp_path / "ex.kite"
+        spec_path.write_text(EX82_SPEC)
+        monkeypatch.setenv("KITEALG_SEED", "abc")
+        assert main(["axioms", "--spec", str(spec_path)]) == EXIT_USAGE
+        assert "bad KITEALG_SEED" in capsys.readouterr().err
 
     def test_spec_error_is_usage(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.kite"

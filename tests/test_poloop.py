@@ -189,6 +189,16 @@ class TestEmbedding:
         A = KiteAlgebra(VectorGroup(2), system([1, 2], [2, 1]))
         assert embed_kite(A, bound=1).ok
 
+    @pytest.mark.parametrize("G", [Z, VectorGroup(2)], ids=["Z", "Z^2"])
+    def test_bound_zero(self, ex82, G):
+        # at bound 0 the interval's box is {neutral, u}
+        A = KiteAlgebra(G, ex82)
+        W = PoLoop(G, ex82)
+        gamma = GammaInterval(W)
+        assert gamma.enumerate_box(0) == [W.neutral, W.unit]
+        assert embed_kite(A, bound=0).ok
+        assert gamma.check_complements(0).ok
+
 
 class TestBlockSubgroup:
     def test_membership(self, W82):
