@@ -23,7 +23,7 @@ from kitealg import poloop as pl
 from kitealg import subdirect as sd
 from kitealg.indexsys import COMPOSITION_CONVENTION, IndexSystem
 from kitealg.pogroup import parse_group
-from kitealg.verdict import FAIL, INCONCLUSIVE, PASS, Verdict
+from kitealg.verdict import FAIL, INCONCLUSIVE, PASS, Verdict, merge
 
 SUITES = ("components", "dual-components", "decomposition", "axioms",
           "commutativity", "rdp", "loop", "embed", "subdirect", "all")
@@ -87,7 +87,9 @@ def parse_permutation(text: str, n: int) -> tuple[int, ...]:
         while i < len(s):
             if s[i] != "(":
                 raise SpecError(f"bad cycle notation {text!r}")
-            j = s.index(")", i)
+            j = s.find(")", i)
+            if j < 0:
+                raise SpecError(f"unterminated cycle in {text!r}")
             try:
                 cycle = [int(v) for v in s[i + 1:j].replace(",", " ").split()]
             except ValueError:
@@ -115,7 +117,9 @@ def parse_blocks(text: str, n: int):
     while i < len(s):
         if s[i] != "{":
             raise SpecError(f"expected '{{' in blocks at {s[i:]!r}")
-        j = s.index("}", i)
+        j = s.find("}", i)
+        if j < 0:
+            raise SpecError(f"unterminated block in {text!r}")
         try:
             block = frozenset(int(v) - 1 for v in s[i + 1:j].replace(",", " ").split())
         except ValueError:
@@ -149,10 +153,9 @@ def parse_spec(text: str) -> KiteSpec:
     n_text, n_line = take("n")
     if n_text is None:
         raise SpecError("missing required field: n")
-    try:
-        n = int(n_text)
-    except ValueError:
-        raise SpecError(f"bad n: {n_text!r}", n_line)
+    n = parse_int("n", n_text, n_line)
+    if n < 1:
+        raise SpecError(f"bad n: {n} is not positive", n_line)
     lam_text, lam_line = take("lambda")
     rho_text, rho_line = take("rho")
     if lam_text is None or rho_text is None:
@@ -342,8 +345,9 @@ def _suite_rdp(spec, G, sys_):
 
 def _suite_loop(spec, G, sys_):
     W = pl.PoLoop(G, sys_)
-    assoc = pl.is_associative(W, bound=min(spec.bound, 2), seed=spec.seed)
-    box = W.enumerate_box(min(spec.bound, 2))
+    bound = min(spec.bound, 2)
+    assoc = pl.is_associative(W, bound=bound, seed=spec.seed)
+    box = W.enumerate_box(bound)
     sample = bounded_sample(box, spec.samples, spec.seed, keep=(W.neutral, W.unit))
     inv_failures = [
         p for p in sample
@@ -377,17 +381,15 @@ def _suite_embed(spec, G, sys_):
     verdict = pl.embed_kite(A, bound=bound)
     gamma = pl.GammaInterval(pl.PoLoop(G, sys_))
     comp = gamma.check_complements(bound)
-    from kitealg.verdict import merge
     return _entry(merge([verdict, comp]), embedding=verdict.to_json(),
                   interval_complements=comp.to_json())
 
 
 def _suite_subdirect(spec, G, sys_):
     A = kt.KiteAlgebra(G, sys_)
-    bound = min(spec.bound, 2) if sys_.n >= 4 and G.name != "Z" else spec.bound
-    report = sd.subdirect_embedding_check(A, bound=min(bound, 2))
-    kernels = sd.check_kernel_projects_to_zero(A, bound=min(bound, 2))
-    from kitealg.verdict import merge
+    bound = min(spec.bound, 2)
+    report = sd.subdirect_embedding_check(A, bound=bound)
+    kernels = sd.check_kernel_projects_to_zero(A, bound=bound)
     return _entry(merge([report.verdict, kernels]), report=report.to_json(),
                   kernel_check=kernels.to_json())
 

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 from kitealg.indexsys import IndexSystem
 from kitealg.pogroup import GroupHom, PoGroup
-from kitealg.verdict import Verdict, merge
+from kitealg.verdict import Verdict, sweep
 
 LOWER = "L"
 UPPER = "U"
@@ -212,15 +212,6 @@ class KiteAlgebra:
 # Axiom and property checkers
 # ---------------------------------------------------------------------------
 
-def _iter_tuples(sample, repeat, cap, draws, rng):
-    total = len(sample) ** repeat
-    if total <= cap:
-        yield from itertools.product(sample, repeat=repeat)
-    else:
-        for _ in range(draws):
-            yield tuple(rng.choice(sample) for _ in range(repeat))
-
-
 def check_pea_axioms(A: KiteAlgebra, sample: list[KiteElement], seed: int = 0,
                      triple_cap: int = 600_000, pair_cap: int = 600_000,
                      draws: int = 40_000) -> Verdict:
@@ -233,7 +224,6 @@ def check_pea_axioms(A: KiteAlgebra, sample: list[KiteElement], seed: int = 0,
     rng = random.Random(seed)
     add, one, zero = A.add, A.one, A.zero
     checked = 0
-    exhaustive = len(sample) ** 3 <= triple_cap
 
     # (ii) unique complements, validated by re-addition
     for a in sample:
@@ -254,7 +244,7 @@ def check_pea_axioms(A: KiteAlgebra, sample: list[KiteElement], seed: int = 0,
             return Verdict.failure(("axiom-iv", a), checked)
 
     # (iii) every defined sum decomposes from both sides
-    for a, b in _iter_tuples(sample, 2, pair_cap, draws, rng):
+    for a, b in sweep(sample, 2, pair_cap, draws, rng)[1]:
         s = add(a, b)
         if s is None:
             continue
@@ -265,7 +255,8 @@ def check_pea_axioms(A: KiteAlgebra, sample: list[KiteElement], seed: int = 0,
             return Verdict.failure(("axiom-iii", a, b), checked)
 
     # (i) associativity with definedness, both directions
-    for a, b, c in _iter_tuples(sample, 3, triple_cap, draws, rng):
+    exhaustive, triples = sweep(sample, 3, triple_cap, draws, rng)
+    for a, b, c in triples:
         checked += 1
         ab = add(a, b)
         left = add(ab, c) if ab is not None else None

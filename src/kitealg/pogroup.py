@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 import operator
+import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from kitealg.verdict import Verdict
+from kitealg.verdict import Verdict, sweep
 
 Element = Any
 
@@ -477,8 +478,7 @@ def check_po_group_axioms(G: PoGroup, bound: int, translation_samples: int = 200
     they are sampled when the box is large; reflexivity, antisymmetry,
     transitivity and the inverse law are exhaustive.
     """
-    import random as _random
-    rng = rng or _random.Random(0)
+    rng = rng or random.Random(0)
     box = G.enumerate_box(bound)
     e = G.identity
     checked = 0
@@ -497,14 +497,7 @@ def check_po_group_axioms(G: PoGroup, bound: int, translation_samples: int = 200
         if G.leq(g, h) and G.leq(h, g) and g != h:
             return Verdict.failure(("antisymmetry", g, h), checked)
 
-    def triples():
-        if len(box) ** 3 <= 200_000:
-            yield from itertools.product(box, repeat=3)
-        else:
-            for _ in range(200_000):
-                yield rng.choice(box), rng.choice(box), rng.choice(box)
-
-    for g, h, k in triples():
+    for g, h, k in sweep(box, 3, 200_000, 200_000, rng)[1]:
         checked += 2
         if G.op(G.op(g, h), k) != G.op(g, G.op(h, k)):
             return Verdict.failure(("associativity", g, h, k), checked)

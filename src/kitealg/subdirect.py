@@ -9,12 +9,12 @@ preimage block and Upper tuples to the component itself.
 
 from __future__ import annotations
 
-import itertools
+import random
 from dataclasses import dataclass, field
 
 from kitealg.indexsys import IndexSystem, components, perm_image
 from kitealg.kite import KiteAlgebra, KiteElement, LOWER, UPPER
-from kitealg.verdict import Verdict, merge
+from kitealg.verdict import Verdict, merge, sweep
 
 
 class NotAComponent(ValueError):
@@ -169,12 +169,7 @@ def _check_projection_hom(A, kernels, box, pair_cap) -> Verdict:
             if project_component(A, k, A.complement_tilde(x)) != \
                     target.complement_tilde(project_component(A, k, x)):
                 return Verdict.failure(("tilde", k.component, x), checked)
-        pairs = itertools.product(box, repeat=2)
-        if len(box) ** 2 > pair_cap:
-            import random
-            rng = random.Random(0)
-            pairs = ((rng.choice(box), rng.choice(box)) for _ in range(pair_cap))
-        for x, y in pairs:
+        for x, y in sweep(box, 2, pair_cap, pair_cap, random.Random(0))[1]:
             checked += 1
             s = A.add(x, y)
             t = target.add(project_component(A, k, x), project_component(A, k, y))

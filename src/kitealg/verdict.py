@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -59,5 +60,18 @@ def merge(verdicts: list[Verdict], detail: str = "") -> Verdict:
     if any(v.failed for v in verdicts):
         return Verdict(FAIL, checked=checked, witnesses=witnesses, detail=detail)
     if any(v.status == INCONCLUSIVE for v in verdicts):
-        return Verdict(INCONCLUSIVE, checked=checked, detail=detail)
+        return Verdict(INCONCLUSIVE, checked=checked, witnesses=witnesses, detail=detail)
     return Verdict(PASS, checked=checked, detail=detail)
+
+
+def sweep(space, arity, cap, draws, rng):
+    """The tuples a bounded checker evaluates: (exhaustive, tuples).
+
+    All len(space) ** arity tuples when there are at most cap of them;
+    otherwise draws tuples of arity consecutive rng.choice(space) picks, the
+    same stream as drawing each tuple with a generator expression.
+    """
+    if len(space) ** arity <= cap:
+        return True, itertools.product(space, repeat=arity)
+    picks = map(rng.choice, itertools.repeat(space, draws * arity))
+    return False, zip(*[picks] * arity)

@@ -2,8 +2,13 @@
 command-line entry point."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import kitealg
 
 from kitealg.cli import (
     EXIT_FAIL,
@@ -241,8 +246,49 @@ class TestMain:
         assert main(["axioms", "--spec", str(spec_path)]) == EXIT_USAGE
         assert "bad KITEALG_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite,text,message", [
+        ("components", "n = 4\nlambda = (1 2\nrho = [2,3,1,4]\n",
+         "unterminated cycle in '(1 2' (line 2)"),
+        ("decomposition", "n = 4\nlambda = [1,3,2,4]\nrho = [2,3,1,4]\nblocks = {1,2\n",
+         "unterminated block in '{1,2' (line 4)"),
+        ("subdirect", "n = 0\nlambda = []\nrho = []\n", "bad n: 0 is not positive (line 1)"),
+        ("all", "n = -1\nlambda = []\nrho = []\n", "bad n: -1 is not positive (line 1)"),
+    ], ids=["unterminated-cycle", "unterminated-block", "n-zero", "n-negative"])
+    def test_malformed_spec_is_usage(self, tmp_path, capsys, suite, text, message):
+        spec_path = tmp_path / "bad.kite"
+        spec_path.write_text(text)
+        assert main([suite, "--spec", str(spec_path)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
     def test_spec_error_is_usage(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.kite"
         spec_path.write_text("n=4\nlambda=[1,1,2,3]\nrho=[1,2,3,4]\n")
         assert main(["components", "--spec", str(spec_path)]) == EXIT_USAGE
         assert "invalid-permutation" in capsys.readouterr().err
+
+
+def test_embed_samples_a_large_box(tmp_path, capsys):
+    # 13,122 elements over Z^2 at bound 2: 172M pairs, so embed draws 40,000
+    spec_path = tmp_path / "ex82z2.kite"
+    spec_path.write_text("group = Z^2\nn = 4\nlambda = [1,3,2,4]\nrho = [2,3,1,4]\n")
+    out = tmp_path / "report.json"
+    assert main(["embed", "--spec", str(spec_path), "--json", str(out)]) == EXIT_PASS
+    embedding = json.loads(out.read_text())["suites"]["embed"]["embedding"]
+    assert embedding["checked"] == 13_122 + 40_000
+    assert embedding["detail"] == "40000 sampled pairs"
+
+
+def test_reports_identical_across_hash_seeds(tmp_path):
+    spec_path = tmp_path / "ex82.kite"
+    spec_path.write_text(EX82_SPEC)
+    src = os.path.dirname(os.path.dirname(kitealg.__file__))
+    outputs = []
+    for hash_seed in ("0", "1", "12345"):
+        out = tmp_path / f"report-{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "kitealg.cli", "all", "--spec",
+                        str(spec_path), "--json", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -2,11 +2,12 @@
 block-constant subgroups."""
 
 import itertools
+import random
 
 import pytest
 
 from kitealg.kite import KiteAlgebra
-from kitealg.pogroup import IntegerGroup, VectorGroup
+from kitealg.pogroup import IntegerGroup, LoopGroup, VectorGroup
 from kitealg.poloop import (
     BlockSubgroup,
     GammaInterval,
@@ -86,6 +87,31 @@ class TestInverses:
                 keys = valid
         # the convention question only bites at m != 0 and for moved indices
         assert "right_matches_lam_after_rho" in keys
+
+
+def _twisted_group():
+    # associative (the twists commute), with a non-commutative product
+    return LoopGroup(PoLoop(Z, system([1, 2], [2, 1])))
+
+
+class TestDivision:
+    @pytest.mark.parametrize("G", [Z, VectorGroup(2), _twisted_group()],
+                             ids=["Z", "Z^2", "loop-group"])
+    @pytest.mark.parametrize("name,lam,rho", [TEN_SYSTEMS[3], TEN_SYSTEMS[6]],
+                             ids=["cycles-3", "ex8.2"])
+    def test_divisions_solve_the_product(self, G, name, lam, rho):
+        W = PoLoop(G, system(lam, rho))
+        gbox = G.enumerate_box(1)
+        rng = random.Random(5)
+
+        def draw():
+            return LoopElement(rng.randint(-2, 2),
+                               tuple(rng.choice(gbox) for _ in range(W.sys.n)))
+
+        for _ in range(200):
+            p, t = draw(), draw()
+            assert W.mul(p, W.right_div(p, t)) == t, (p, t)
+            assert W.mul(W.left_div(t, p), p) == t, (p, t)
 
 
 class TestOrder:
@@ -170,6 +196,17 @@ class TestGamma:
     def test_complements_remultiply(self, name, lam, rho):
         g = GammaInterval(PoLoop(Z, system(lam, rho)))
         assert g.check_complements(bound=1).ok
+
+    @pytest.mark.parametrize("name,lam,rho", TEN_SYSTEMS,
+                             ids=[t[0] for t in TEN_SYSTEMS])
+    def test_complements_match_the_kite(self, name, lam, rho):
+        # loop division against the kite's closed forms, through phi
+        A = KiteAlgebra(Z, system(lam, rho))
+        g = GammaInterval(PoLoop(Z, A.sys))
+        for x in A.enumerate_box(1):
+            p = embed_kite_element(x)
+            assert g.complement_tilde(p) == embed_kite_element(A.complement_tilde(x))
+            assert g.complement_minus(p) == embed_kite_element(A.complement_minus(x))
 
 
 class TestEmbedding:
