@@ -350,9 +350,8 @@ def _suite_loop(spec, G, sys_):
     box = W.enumerate_box(bound)
     sample = bounded_sample(box, spec.samples, spec.seed, keep=(W.neutral, W.unit))
     inv_failures = [
-        p for p in sample
-        if W.mul(p, W.inverses(p)[0]) != W.neutral
-        or W.mul(W.inverses(p)[1], p) != W.neutral
+        p for p, (right, left) in zip(sample, map(W.inverses, sample))
+        if W.mul(p, right) != W.neutral or W.mul(left, p) != W.neutral
     ]
     unit = pl.strong_unit_check(W, sample, nmax=spec.bound + 2)
     readings = pl.inverse_formula_readings(W, sample[0])

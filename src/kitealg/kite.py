@@ -12,6 +12,7 @@ testable.
 from __future__ import annotations
 
 import ast
+import bisect
 import itertools
 import random
 from dataclasses import dataclass
@@ -220,22 +221,39 @@ def check_pea_axioms(A: KiteAlgebra, sample: list[KiteElement], seed: int = 0,
     Per-element axioms are exhaustive; the associativity axiom exhausts all
     triples when their count is at most triple_cap and otherwise uses seeded
     random draws (reported in the verdict detail).
+
+    When the triples are exhausted, every sample pair sum is computed once
+    into an n x n table that axioms (ii), (iii) and (i) read; n**3 <=
+    triple_cap bounds the table.  When triples are drawn, each sum is
+    computed where it is read, so memory stays linear in the sample.
     """
     rng = random.Random(seed)
     add, one, zero = A.add, A.one, A.zero
+    n = len(sample)
+    indices = range(n)
+    if n ** 3 <= triple_cap:
+        rows = [[add(a, b) for b in sample] for a in sample]
+    else:
+        rows = None
     checked = 0
 
     # (ii) unique complements, validated by re-addition
-    for a in sample:
+    for i, a in enumerate(sample):
         d, e = A.complement_tilde(a), A.complement_minus(a)
         if add(a, d) != one or add(e, a) != one:
             return Verdict.failure(("axiom-ii-closed-form", a), checked)
-        for x in sample:
-            if add(a, x) == one and x != d:
+        if rows is None:
+            right = [add(a, x) for x in sample]
+            left = [add(x, a) for x in sample]
+        else:
+            right = rows[i]
+            left = [row[i] for row in rows]
+        for x, ax, xa in zip(sample, right, left):
+            if ax == one and x != d:
                 return Verdict.failure(("axiom-ii-right-unique", a, x, d), checked)
-            if add(x, a) == one and x != e:
+            if xa == one and x != e:
                 return Verdict.failure(("axiom-ii-left-unique", a, x, e), checked)
-        checked += len(sample) + 1
+        checked += n + 1
 
     # (iv) only 0 adds with 1
     for a in sample:
@@ -243,9 +261,11 @@ def check_pea_axioms(A: KiteAlgebra, sample: list[KiteElement], seed: int = 0,
         if (add(one, a) is not None or add(a, one) is not None) and a != zero:
             return Verdict.failure(("axiom-iv", a), checked)
 
-    # (iii) every defined sum decomposes from both sides
-    for a, b in sweep(sample, 2, pair_cap, draws, rng)[1]:
-        s = add(a, b)
+    # (iii) every defined sum decomposes from both sides; sweeping indices
+    # draws the same stream as sweeping the sample itself
+    for i, j in sweep(indices, 2, pair_cap, draws, rng)[1]:
+        a, b = sample[i], sample[j]
+        s = add(a, b) if rows is None else rows[i][j]
         if s is None:
             continue
         checked += 1
@@ -255,14 +275,17 @@ def check_pea_axioms(A: KiteAlgebra, sample: list[KiteElement], seed: int = 0,
             return Verdict.failure(("axiom-iii", a, b), checked)
 
     # (i) associativity with definedness, both directions
-    exhaustive, triples = sweep(sample, 3, triple_cap, draws, rng)
-    for a, b, c in triples:
+    exhaustive, triples = sweep(indices, 3, triple_cap, draws, rng)
+    for i, j, k in triples:
         checked += 1
-        ab = add(a, b)
+        a, b, c = sample[i], sample[j], sample[k]
+        if rows is None:
+            ab, bc = add(a, b), add(b, c)
+        else:
+            ab, bc = rows[i][j], rows[j][k]
         left = add(ab, c) if ab is not None else None
-        bc = add(b, c)
         right = add(a, bc) if bc is not None else None
-        if (left is None) != (right is None) or left != right:
+        if left != right:  # None differs from every element
             return Verdict.failure(("axiom-i", a, b, c), checked)
 
     mode = "exhaustive triples" if exhaustive else f"{draws} sampled triples"
@@ -304,16 +327,34 @@ def _kite_meet(A: KiteAlgebra, x, y):
     return KiteElement(UPPER, tuple(A.G.meet(a, b) for a, b in zip(x.coords, y.coords)))
 
 
-def rdp_quadruples(A: KiteAlgebra, sample: list[KiteElement]):
-    """All (a1, a2, b1, b2) from the sample with a1+a2 = b1+b2 defined."""
+def sum_classes(A: KiteAlgebra, sample: list[KiteElement]) -> list[list]:
+    """The sample pairs (a, b) with a defined sum, grouped by that sum, in
+    the order each sum first appears."""
     by_sum: dict[KiteElement, list] = {}
     for a, b in itertools.product(sample, repeat=2):
         s = A.add(a, b)
         if s is not None:
             by_sum.setdefault(s, []).append((a, b))
-    for pairs in by_sum.values():
+    return list(by_sum.values())
+
+
+def rdp_quadruples(A: KiteAlgebra, sample: list[KiteElement], classes=None):
+    """All (a1, a2, b1, b2) from the sample with a1+a2 = b1+b2 defined.
+
+    classes, when given, is ``sum_classes(A, sample)`` already computed.
+    """
+    for pairs in sum_classes(A, sample) if classes is None else classes:
         for (a1, a2), (b1, b2) in itertools.product(pairs, repeat=2):
             yield a1, a2, b1, b2
+
+
+def _quadruple_at(classes, starts, pos):
+    """The quadruple at position pos of the rdp_quadruples stream over
+    classes; starts[c] is the position of the first quadruple of class c."""
+    c = bisect.bisect_right(starts, pos) - 1
+    pairs = classes[c]
+    q, r = divmod(pos - starts[c], len(pairs))
+    return pairs[q] + pairs[r]
 
 
 def rdp_side_condition(A: KiteAlgebra, variant: str, c12, c21,
@@ -361,24 +402,34 @@ def check_kite_rdp(A: KiteAlgebra, variant: str, sample: list[KiteElement],
     """Search a refinement for every sampled quadruple with equal defined sums.
 
     A missing refinement is INCONCLUSIVE (bounded search), not a refutation.
+    Above quad_cap, positions in the quadruple stream are drawn and decoded
+    one at a time, so no list of quadruples is held.
     """
     rng = random.Random(seed)
-    quads = list(rdp_quadruples(A, sample))
-    if len(quads) > quad_cap:
-        quads = rng.sample(quads, quad_cap)
-    found, missing = 0, []
+    classes = sum_classes(A, sample)
+    sizes = [len(pairs) ** 2 for pairs in classes]
+    total = sum(sizes)
+    if total <= quad_cap:
+        quads = rdp_quadruples(A, sample, classes)
+    else:
+        # random.sample reads only the population's length and items, so
+        # drawing positions picks the quadruples a list would give
+        starts = list(itertools.accumulate(sizes, initial=0))
+        quads = (_quadruple_at(classes, starts, pos)
+                 for pos in rng.sample(range(total), quad_cap))
+    checked, found, witnesses = min(total, quad_cap), 0, []
     for a1, a2, b1, b2 in quads:
         if find_kite_refinement(A, variant, a1, a2, b1, b2, sample) is not None:
             found += 1
-        else:
-            missing.append((a1, a2, b1, b2))
-    if missing:
+        elif len(witnesses) < 5:
+            witnesses.append((a1, a2, b1, b2))
+    if found < checked:
         return Verdict(
-            "INCONCLUSIVE", checked=len(quads), witnesses=tuple(missing[:5]),
-            detail=f"{found}/{len(quads)} quadruples refined; "
-                   f"{len(missing)} without a witness in the box",
+            "INCONCLUSIVE", checked=checked, witnesses=tuple(witnesses),
+            detail=f"{found}/{checked} quadruples refined; "
+                   f"{checked - found} without a witness in the box",
         )
-    return Verdict.passed(len(quads), detail=f"all {found} quadruples refined")
+    return Verdict.passed(checked, detail=f"all {found} quadruples refined")
 
 
 # ---------------------------------------------------------------------------

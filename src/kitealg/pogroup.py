@@ -61,8 +61,11 @@ class PoGroup:
     def encode(self, a: Element) -> tuple[int, ...]:
         raise UnsupportedCarrier(f"{self.name} has no canonical encoding")
 
-    # Lattice structure, where available (Z, Z^k and direct products of such).
+    # Lattice structure, where available (Z, Z^k and direct products of such,
+    # and lexicographic products of a chain with a lattice).
     has_meet = False
+    # Chains: Z, Z^1 and lexicographic products of chains.
+    totally_ordered = False
 
     def meet(self, a: Element, b: Element) -> Element:
         raise UnsupportedCarrier(f"{self.name} is not a built-in lattice")
@@ -107,6 +110,7 @@ class IntegerGroup(PoGroup):
 
     name = "Z"
     has_meet = True
+    totally_ordered = True
 
     def op(self, a, b):
         return a + b
@@ -154,6 +158,7 @@ class VectorGroup(PoGroup):
             raise ValueError("dimension must be at least 1")
         self.k = k
         self.name = f"Z^{k}"
+        self.totally_ordered = k == 1
 
     def op(self, a, b):
         return tuple(map(operator.add, a, b))
@@ -219,16 +224,30 @@ class _ProductBase(PoGroup):
 
 
 class LexProduct(_ProductBase):
-    """Lexicographic product: first coordinate strict, or equal and second below."""
+    """Lexicographic product: first coordinate strict, or equal and second below.
+
+    It is a lattice when the left factor is totally ordered and the right one
+    is a lattice; over a partially ordered left factor two elements with
+    incomparable first coordinates have no greatest lower bound.
+    """
 
     def __init__(self, left, right):
         super().__init__(left, right)
         self.name = f"lex({left.name},{right.name})"
+        self.has_meet = left.totally_ordered and right.has_meet
+        self.totally_ordered = left.totally_ordered and right.totally_ordered
 
     def leq(self, a, b):
         if self.left.lt(a[0], b[0]):
             return True
         return a[0] == b[0] and self.right.leq(a[1], b[1])
+
+    def meet(self, a, b):
+        if not self.has_meet:
+            return super().meet(a, b)
+        if a[0] == b[0]:
+            return (a[0], self.right.meet(a[1], b[1]))
+        return a if self.left.leq(a[0], b[0]) else b
 
 
 class DirectProduct(_ProductBase):

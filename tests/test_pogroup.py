@@ -73,6 +73,38 @@ class TestEnumerateBox:
             PoGroup().enumerate_box(1)
 
 
+class TestMeet:
+    @pytest.mark.parametrize("desc", [
+        "Z", "Z^1", "Z^2", "lex(Z,Z)", "lex(Z^1,Z^2)", "lex(lex(Z,Z),Z)",
+        "prod(Z,Z)", "prod(lex(Z,Z),Z)",
+    ])
+    def test_meet_is_greatest_lower_bound(self, desc):
+        G = parse_group(desc)
+        assert G.has_meet
+        box = G.enumerate_box(1)
+        for a, b in itertools.product(box, repeat=2):
+            m = G.meet(a, b)
+            assert G.leq(m, a) and G.leq(m, b)
+            assert all(G.leq(z, m) for z in box if G.leq(z, a) and G.leq(z, b))
+
+    @pytest.mark.parametrize("desc", ["lex(Z^2,Z)", "lex(prod(Z,Z),Z)"])
+    def test_no_meet_over_partially_ordered_left_factor(self, desc):
+        G = parse_group(desc)
+        assert not G.has_meet
+        with pytest.raises(UnsupportedCarrier):
+            G.meet(G.identity, G.identity)
+
+    @pytest.mark.parametrize("desc", [
+        "Z", "Z^1", "Z^2", "lex(Z,Z)", "lex(Z,Z^2)", "lex(Z^2,Z)", "prod(Z,Z)",
+    ])
+    def test_totally_ordered_flag(self, desc):
+        G = parse_group(desc)
+        box = G.enumerate_box(1)
+        comparable = all(G.leq(a, b) or G.leq(b, a)
+                         for a, b in itertools.product(box, repeat=2))
+        assert G.totally_ordered == comparable
+
+
 class TestParseGroup:
     @pytest.mark.parametrize("desc,name", [
         ("Z", "Z"),
