@@ -8,7 +8,7 @@ applied first.  Indices are 0-based internally and 1-based in all I/O.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from kitealg.verdict import Verdict, merge
@@ -157,19 +157,6 @@ def is_dually_connected(sys: IndexSystem, i: int, j: int) -> bool:
     if not (0 <= i < sys.n and 0 <= j < sys.n):
         raise IndexError("index out of range")
     return j in _block_of(dual_components(sys), i)
-
-
-def connected_by_iteration(sys: IndexSystem, i: int, j: int) -> bool:
-    """Cross-check oracle: search m >= 0 with sigma^m(i) = j or sigma^-m(i) = j,
-    up to the permutation order."""
-    sigma = derived_sigma(sys)
-    sigma_inv = perm_inverse(sigma)
-    fwd, bwd = i, i
-    for _ in range(perm_order(sigma) + 1):
-        if fwd == j or bwd == j:
-            return True
-        fwd, bwd = sigma[fwd], sigma_inv[bwd]
-    return False
 
 
 def check_component_laws(sys: IndexSystem) -> Verdict:

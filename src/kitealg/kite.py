@@ -11,7 +11,6 @@ testable.
 
 from __future__ import annotations
 
-import ast
 import bisect
 import itertools
 import random
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from kitealg.indexsys import IndexSystem
-from kitealg.pogroup import GroupHom, PoGroup
+from kitealg.pogroup import PoGroup
 from kitealg.verdict import Verdict, sweep
 
 LOWER = "L"
@@ -70,15 +69,47 @@ class KiteAlgebra:
     def upper(self, *coords) -> KiteElement:
         return KiteElement(UPPER, tuple(coords))
 
+    def _cones(self, bound: int) -> tuple[list, list]:
+        G = self.G
+        box = G.enumerate_box(bound)
+        return [g for g in box if G.is_positive(g)], [g for g in box if G.is_negative(g)]
+
     def enumerate_box(self, bound: int) -> list[KiteElement]:
         """All elements with coordinates in the box: Lower tuples over the
-        positive part, Upper tuples over the negative part; 0 first."""
-        G, n = self.G, self.sys.n
-        pos = [g for g in G.enumerate_box(bound) if G.is_positive(g)]
-        neg = [g for g in G.enumerate_box(bound) if G.is_negative(g)]
+        positive part, then Upper tuples over the negative part, each in
+        product order (last coordinate fastest); 0 first."""
+        pos, neg = self._cones(bound)
+        n = self.sys.n
         lowers = [KiteElement(LOWER, t) for t in itertools.product(pos, repeat=n)]
         uppers = [KiteElement(UPPER, t) for t in itertools.product(neg, repeat=n)]
         return lowers + uppers
+
+    def sample_box(self, bound: int, k: int, seed: int) -> list[KiteElement]:
+        """``random.Random(seed).sample(self.enumerate_box(bound), k)``, or the
+        whole box when it holds at most k elements, without building the box.
+
+        random.sample reads only the population's length and items, so
+        drawing positions and decoding each in the enumerate_box order picks
+        the same elements in the same order.
+        """
+        pos, neg = self._cones(bound)
+        n = self.sys.n
+        lowers = len(pos) ** n
+        total = lowers + len(neg) ** n
+        if total <= k:
+            return self.enumerate_box(bound)
+        out = []
+        for p in random.Random(seed).sample(range(total), k):
+            if p < lowers:
+                tag, cone = LOWER, pos
+            else:
+                tag, cone, p = UPPER, neg, p - lowers
+            coords = []
+            for _ in range(n):
+                p, r = divmod(p, len(cone))
+                coords.append(cone[r])
+            out.append(KiteElement(tag, tuple(reversed(coords))))
+        return out
 
     # -- order and addition -------------------------------------------------
 
@@ -185,24 +216,22 @@ class KiteAlgebra:
 
     # -- meets (for the RDP2 side condition) --------------------------------
 
+    def meet(self, x: KiteElement, y: KiteElement) -> KiteElement:
+        """x ^ y when G is a built-in lattice: two tuples of one layer meet
+        coordinatewise, and a Lower below an Upper is the meet itself."""
+        if x.tag != y.tag:
+            return x if x.tag == LOWER else y
+        return KiteElement(x.tag, tuple(map(self.G.meet, x.coords, y.coords)))
+
     def meet_is_zero(self, x: KiteElement, y: KiteElement,
                      sample: Iterable[KiteElement] = ()) -> bool:
         """Decide x ^ y = 0.
 
-        When G is a built-in lattice the meet is computed directly: two Lower
-        tuples meet coordinatewise, a Lower below an Upper is the meet itself,
-        and two Upper tuples always meet strictly above 0.  Otherwise 0 must
-        be the only common lower bound found in the sample.
+        When G is a built-in lattice the meet is computed directly.
+        Otherwise 0 must be the only common lower bound found in the sample.
         """
         if self.G.has_meet:
-            if x.tag == LOWER and y.tag == LOWER:
-                e = self.G.identity
-                return all(self.G.meet(a, b) == e for a, b in zip(x.coords, y.coords))
-            if x.tag == LOWER:
-                return x == self.zero
-            if y.tag == LOWER:
-                return y == self.zero
-            return False
+            return self.meet(x, y) == self.zero
         for z in sample:
             if z != self.zero and self.leq(z, x) and self.leq(z, y):
                 return False
@@ -316,17 +345,6 @@ def _refine(A: KiteAlgebra, a1, a2, b1, b2, c11):
     return c12, c21, c22
 
 
-def _kite_meet(A: KiteAlgebra, x, y):
-    """Coordinate meet for built-in lattice G; used as the preferred c11."""
-    if x.tag == LOWER and y.tag == LOWER:
-        return KiteElement(LOWER, tuple(A.G.meet(a, b) for a, b in zip(x.coords, y.coords)))
-    if x.tag == LOWER:
-        return x
-    if y.tag == LOWER:
-        return y
-    return KiteElement(UPPER, tuple(A.G.meet(a, b) for a, b in zip(x.coords, y.coords)))
-
-
 def sum_classes(A: KiteAlgebra, sample: list[KiteElement]) -> list[list]:
     """The sample pairs (a, b) with a defined sum, grouped by that sum, in
     the order each sum first appears."""
@@ -378,7 +396,7 @@ def find_kite_refinement(A: KiteAlgebra, variant: str, a1, a2, b1, b2,
         # the coordinate meet is the canonical choice in the lattice case;
         # fall back to scanning the sample only when it fails
         if A.G.has_meet:
-            yield _kite_meet(A, a1, b1)
+            yield A.meet(a1, b1)
         for c in sample:
             if A.leq(c, a1) and A.leq(c, b1):
                 yield c
@@ -430,68 +448,3 @@ def check_kite_rdp(A: KiteAlgebra, variant: str, sample: list[KiteElement],
                    f"{checked - found} without a witness in the box",
         )
     return Verdict.passed(checked, detail=f"all {found} quadruples refined")
-
-
-# ---------------------------------------------------------------------------
-# The functor action on group homomorphisms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KiteHom:
-    source: KiteAlgebra
-    target: KiteAlgebra
-    hom: GroupHom
-
-    def __call__(self, x: KiteElement) -> KiteElement:
-        self.source._check(x)
-        return KiteElement(x.tag, tuple(self.hom(c) for c in x.coords))
-
-
-def lift_hom(h: GroupHom, sys: IndexSystem) -> KiteHom:
-    """Apply a po-group homomorphism coordinatewise, preserving the tag."""
-    return KiteHom(KiteAlgebra(h.source, sys), KiteAlgebra(h.target, sys), h)
-
-
-def check_kite_hom(kh: KiteHom, sample: list[KiteElement]) -> Verdict:
-    """Verify 0/1/order/sum preservation of a lifted homomorphism on a sample."""
-    A, B = kh.source, kh.target
-    checked = 0
-    if kh(A.zero) != B.zero or kh(A.one) != B.one:
-        return Verdict.failure(("units",), checked)
-    for x, y in itertools.product(sample, repeat=2):
-        checked += 1
-        if A.leq(x, y) and not B.leq(kh(x), kh(y)):
-            return Verdict.failure(("order", x, y), checked)
-        s = A.add(x, y)
-        if s is not None and kh(s) != B.add(kh(x), kh(y)):
-            return Verdict.failure(("sum", x, y), checked)
-    return Verdict.passed(checked)
-
-
-# ---------------------------------------------------------------------------
-# Element literals: L[1,2], U[-3,-5], 0, 1
-# ---------------------------------------------------------------------------
-
-def parse_element(A: KiteAlgebra, text: str) -> KiteElement:
-    s = text.strip()
-    if s == "0":
-        return A.zero
-    if s == "1":
-        return A.one
-    if len(s) < 3 or s[0] not in (LOWER, UPPER) or s[1] != "[" or s[-1] != "]":
-        raise ValueError(f"bad element literal: {text!r}")
-    coords = tuple(ast.literal_eval(f"[{s[2:-1]}]"))
-    x = KiteElement(s[0], coords)
-    if not A.is_member(x):
-        raise ValueError(f"literal {text!r} is not an element of {A!r}")
-    return x
-
-
-def format_element(x: KiteElement) -> str:
-    return f"{x.tag}[" + ",".join(_fmt_coord(c) for c in x.coords) + "]"
-
-
-def _fmt_coord(c) -> str:
-    if isinstance(c, tuple):
-        return "(" + ",".join(_fmt_coord(v) for v in c) + ")"
-    return str(c)

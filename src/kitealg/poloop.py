@@ -22,9 +22,9 @@ from kitealg.indexsys import (
     perm_power,
     validate_decomposition,
 )
-from kitealg.kite import KiteAlgebra, KiteElement, LOWER, UPPER
+from kitealg.kite import KiteAlgebra, KiteElement, LOWER
 from kitealg.pogroup import PoGroup
-from kitealg.verdict import Verdict, merge, sweep
+from kitealg.verdict import Verdict, sweep
 
 
 @dataclass(frozen=True)
@@ -345,7 +345,6 @@ def block_subgroup(W: PoLoop, blocks, bound: int = 2, triple_samples: int = 1000
     H = BlockSubgroup(W, blocks)
     rng = random.Random(seed)
     hbox = H.enumerate_box(bound)
-    verdicts = []
     checked = 0
 
     if not H.contains(W.unit):
@@ -376,8 +375,7 @@ def block_subgroup(W: PoLoop, blocks, bound: int = 2, triple_samples: int = 1000
         if s is not None and not H.contains(s):
             return H, Verdict.failure(("interval-closure", p, q), checked)
 
-    verdicts.append(Verdict.passed(checked))
-    return H, merge(verdicts, detail=f"|H-box| = {len(hbox)}")
+    return H, Verdict.passed(checked, detail=f"|H-box| = {len(hbox)}")
 
 
 def check_whole_block_lex_agreement(W: PoLoop, bound: int = 2) -> Verdict:

@@ -10,10 +10,10 @@ preimage block and Upper tuples to the component itself.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from kitealg.indexsys import IndexSystem, components, perm_image
-from kitealg.kite import KiteAlgebra, KiteElement, LOWER, UPPER
+from kitealg.kite import KiteAlgebra, KiteElement, LOWER
 from kitealg.verdict import Verdict, merge, sweep
 
 

@@ -48,10 +48,6 @@ class Verdict:
     def failure(witness, checked: int = 0, detail: str = "") -> "Verdict":
         return Verdict(FAIL, checked=checked, witnesses=(witness,), detail=detail)
 
-    @staticmethod
-    def inconclusive(checked: int = 0, detail: str = "") -> "Verdict":
-        return Verdict(INCONCLUSIVE, checked=checked, detail=detail)
-
 
 def merge(verdicts: list[Verdict], detail: str = "") -> Verdict:
     """Combine sub-verdicts: any FAIL wins, then any INCONCLUSIVE."""

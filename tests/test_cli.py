@@ -19,6 +19,7 @@ from kitealg.cli import (
     PAPER_SYSTEMS,
     KiteSpec,
     SpecError,
+    _kite_sample,
     bounded_sample,
     exit_code,
     main,
@@ -28,6 +29,8 @@ from kitealg.cli import (
     parse_spec,
     run_suite,
 )
+from kitealg.kite import KiteAlgebra
+from kitealg.pogroup import parse_group
 
 EX82_SPEC = """\
 # four-index example system
@@ -115,6 +118,40 @@ class TestBoundedSample:
         a = bounded_sample(items, 10, 42, keep=(99,))
         b = bounded_sample(items, 10, 42, keep=(99,))
         assert a == b and 99 in a
+
+    @pytest.mark.parametrize("group, lam, rho, bound, samples, seed", [
+        ("Z^2", *PAPER_SYSTEMS["ex3.8"], 1, 120, 0),
+        ("lex(Z,Z)", [2, 3, 1], [3, 1, 2], 1, 60, 0),
+        ("Z", *PAPER_SYSTEMS["ex8.2"], 2, 50, 7),
+        ("Z", *PAPER_SYSTEMS["ex8.2"], 1, 500, 0),
+    ], ids=["ex3.8-Z^2", "cycles-3-lex", "ex8.2-Z-bound-2", "whole-box"])
+    def test_kite_sample_matches_the_built_box(self, group, lam, rho, bound,
+                                               samples, seed):
+        spec = parse_spec(f"group = {group}\nn = {len(lam)}\nlambda = {lam}\n"
+                          f"rho = {rho}\nbound = {bound}\nsamples = {samples}\n"
+                          f"seed = {seed}\n")
+        A = KiteAlgebra(parse_group(group), spec.system)
+        box = A.enumerate_box(bound)
+        assert _kite_sample(spec, A) == bounded_sample(box, samples, seed,
+                                                       keep=(A.zero, A.one))
+
+    def test_kite_sample_leaves_a_large_box_unbuilt(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # n = 7 over Z^2 at bound 2: a box of 2 * 9**7 elements
+        def refuse(self, bound):
+            raise AssertionError("the whole box was built")
+        monkeypatch.setattr(KiteAlgebra, "enumerate_box", refuse)
+        text = ("group = Z^2\nn = 7\nlambda = (1 2 3 4 5 6 7)\n"
+                "rho = [1,2,3,4,5,6,7]\nbound = 2\nsamples = 50\n")
+        spec = parse_spec(text)
+        A = KiteAlgebra(parse_group("Z^2"), spec.system)
+        sample = _kite_sample(spec, A)
+        assert 50 <= len(sample) == len(set(sample)) <= 52
+        assert A.zero in sample and A.one in sample
+        assert all(A.is_member(x) for x in sample)
+        spec_path = tmp_path / "n7.kite"
+        spec_path.write_text(text)
+        assert main(["axioms", "--spec", str(spec_path)]) == EXIT_PASS
 
 
 class TestRunSuite:
@@ -256,16 +293,17 @@ class TestMain:
         assert "bad KITEALG_SEED" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite,text,message", [
-        ("components", "n = 4\nlambda = (1 2\nrho = [2,3,1,4]\n",
+        ("components", b"n = 4\nlambda = (1 2\nrho = [2,3,1,4]\n",
          "unterminated cycle in '(1 2' (line 2)"),
-        ("decomposition", "n = 4\nlambda = [1,3,2,4]\nrho = [2,3,1,4]\nblocks = {1,2\n",
+        ("decomposition", b"n = 4\nlambda = [1,3,2,4]\nrho = [2,3,1,4]\nblocks = {1,2\n",
          "unterminated block in '{1,2' (line 4)"),
-        ("subdirect", "n = 0\nlambda = []\nrho = []\n", "bad n: 0 is not positive (line 1)"),
-        ("all", "n = -1\nlambda = []\nrho = []\n", "bad n: -1 is not positive (line 1)"),
-    ], ids=["unterminated-cycle", "unterminated-block", "n-zero", "n-negative"])
+        ("subdirect", b"n = 0\nlambda = []\nrho = []\n", "bad n: 0 is not positive (line 1)"),
+        ("all", b"n = -1\nlambda = []\nrho = []\n", "bad n: -1 is not positive (line 1)"),
+        ("axioms", EX82_SPEC.encode() + b"\xff\xfe", "error: 'utf-8' codec can't decode"),
+    ], ids=["unterminated-cycle", "unterminated-block", "n-zero", "n-negative", "not-utf8"])
     def test_malformed_spec_is_usage(self, tmp_path, capsys, suite, text, message):
         spec_path = tmp_path / "bad.kite"
-        spec_path.write_text(text)
+        spec_path.write_bytes(text)
         assert main([suite, "--spec", str(spec_path)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
 

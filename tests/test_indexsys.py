@@ -11,7 +11,6 @@ from kitealg.indexsys import (
     check_component_laws,
     check_mixed_commutation,
     components,
-    connected_by_iteration,
     derived_sigma,
     derived_tau,
     dual_components,
@@ -27,7 +26,7 @@ from kitealg.indexsys import (
     validate_decomposition,
 )
 
-from conftest import TEN_SYSTEMS, system
+from conftest import TEN_SYSTEMS, connected_by_iteration, system
 
 
 def perms(max_n=6):

@@ -1,7 +1,8 @@
-"""The kite partial algebra: membership, addition, complements, axiom and
-refinement checkers, lifted homomorphisms, and the element literals."""
+"""The kite partial algebra: membership, the box and its sampling, addition,
+complements, meets, and the axiom and refinement checkers."""
 
 import itertools
+import random
 
 import pytest
 
@@ -12,18 +13,14 @@ from kitealg.kite import (
     KiteElement,
     ShapeMismatch,
     check_commutativity,
-    check_kite_hom,
     check_kite_rdp,
     check_pea_axioms,
     find_kite_refinement,
-    format_element,
-    lift_hom,
-    parse_element,
     rdp_quadruples,
 )
-from kitealg.pogroup import GroupHom, IntegerGroup, VectorGroup
+from kitealg.pogroup import IntegerGroup, UnsupportedCarrier, VectorGroup, parse_group
 
-from conftest import TEN_SYSTEMS, system
+from conftest import EX_8_2, TEN_SYSTEMS, system
 
 Z = IntegerGroup()
 
@@ -250,6 +247,48 @@ class TestRdp:
         assert v.ok, v.detail
 
 
+def _box_pairs(box, limit=4096, draws=400):
+    """Every pair of the box when there are at most limit, else draws seeded
+    random pairs."""
+    if len(box) ** 2 <= limit:
+        return list(itertools.product(box, repeat=2))
+    rng = random.Random(0)
+    return [(rng.choice(box), rng.choice(box)) for _ in range(draws)]
+
+
+class TestMeet:
+    @pytest.mark.parametrize("desc", ["Z", "Z^2", "lex(Z,Z)", "prod(Z,Z)"])
+    @pytest.mark.parametrize("lam,rho", [EX_8_2, ([2, 3, 1], [3, 1, 2])],
+                             ids=["ex8.2", "cycles-3"])
+    def test_meet_is_greatest_lower_bound(self, desc, lam, rho):
+        A = KiteAlgebra(parse_group(desc), system(lam, rho))
+        box = A.enumerate_box(1)
+        for x, y in _box_pairs(box):
+            m = A.meet(x, y)
+            assert A.is_member(m)
+            assert A.leq(m, x) and A.leq(m, y)
+            assert all(A.leq(z, m) for z in box if A.leq(z, x) and A.leq(z, y))
+            assert A.meet_is_zero(x, y) == (m == A.zero)
+
+    def test_no_meet_takes_the_sample_scan(self):
+        # lex(Z^2,Z) has no meet, so only the common lower bounds in the
+        # sample decide x ^ y = 0
+        A = KiteAlgebra(parse_group("lex(Z^2,Z)"), system([1, 2], [2, 1]))
+        box = A.enumerate_box(1)
+        e = ((0, 0), 0)
+        # ((0,0),k) lies below both for every k, so no greatest one exists
+        x, y = A.lower(((0, 1), 0), e), A.lower(((1, 0), 0), e)
+        with pytest.raises(UnsupportedCarrier):
+            A.meet(x, y)
+        assert not A.meet_is_zero(x, y, box)
+        assert A.meet_is_zero(x, y, ())
+        assert A.meet_is_zero(A.lower(e, ((0, 0), 1)), A.lower(((0, 0), 1), e), box)
+        scan = lambda x, y: not any(
+            z != A.zero and A.leq(z, x) and A.leq(z, y) for z in box)
+        for x, y in _box_pairs(box):
+            assert A.meet_is_zero(x, y, box) == scan(x, y), (x, y)
+
+
 class TestMeetIsZero:
     def test_lower_pairs(self, K82):
         assert K82.meet_is_zero(K82.lower(1, 0, 0, 0), K82.lower(0, 1, 0, 0))
@@ -268,42 +307,3 @@ class TestMeetIsZero:
             z != K82.zero and K82.leq(z, x) and K82.leq(z, y) for z in sample)
         for x, y in itertools.islice(itertools.product(sample, repeat=2), 0, None, 11):
             assert K82.meet_is_zero(x, y, sample) == scan(x, y), (x, y)
-
-
-class TestLiftedHom:
-    def test_doubling_preserves_structure(self, ex82):
-        kh = lift_hom(GroupHom(Z, Z, lambda g: 2 * g, "double"), ex82)
-        assert check_kite_hom(kh, kh.source.enumerate_box(1)).ok
-
-    def test_identity(self, ex84):
-        kh = lift_hom(GroupHom(Z, Z, lambda g: g, "id"), ex84)
-        assert check_kite_hom(kh, kh.source.enumerate_box(1)).ok
-
-    def test_broken_map_detected(self, ex82):
-        kh = lift_hom(GroupHom(Z, Z, lambda g: g * g, "square"), ex82)
-        assert check_kite_hom(kh, kh.source.enumerate_box(1)).failed
-
-
-class TestLiterals:
-    def test_parse_units(self, K82):
-        assert parse_element(K82, "0") == K82.zero
-        assert parse_element(K82, "1") == K82.one
-
-    def test_parse_tuples(self, K82):
-        assert parse_element(K82, "L[1,2,0,3]") == K82.lower(1, 2, 0, 3)
-        assert parse_element(K82, "U[-3,-5,0,0]") == K82.upper(-3, -5, 0, 0)
-
-    def test_roundtrip(self, K82):
-        for x in (K82.lower(1, 0, 2, 0), K82.upper(-1, -1, 0, -2), K82.zero):
-            assert parse_element(K82, format_element(x)) == x
-
-    def test_vector_coords(self):
-        A = KiteAlgebra(VectorGroup(2), system([1, 2], [2, 1]))
-        x = parse_element(A, "L[(1,0),(0,2)]")
-        assert x == A.lower((1, 0), (0, 2))
-        assert parse_element(A, format_element(x)) == x
-
-    @pytest.mark.parametrize("bad", ["", "L[1,2", "X[1,2,3,4]", "L[-1,0,0,0]", "L[1,2]"])
-    def test_rejects(self, K82, bad):
-        with pytest.raises(ValueError):
-            parse_element(K82, bad)
