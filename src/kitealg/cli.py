@@ -148,7 +148,7 @@ def parse_spec(text: str) -> KiteSpec:
     def take(key, default=None):
         return fields.pop(key, (default, None))
 
-    group_desc, _ = take("group", "Z")
+    group_desc, group_line = take("group", "Z")
     n_text, n_line = take("n")
     if n_text is None:
         raise SpecError("missing required field: n")
@@ -180,9 +180,10 @@ def parse_spec(text: str) -> KiteSpec:
     try:
         parse_group(group_desc)
     except ValueError as exc:
-        raise SpecError(f"bad group descriptor: {exc}")
+        raise SpecError(f"bad group descriptor: {exc}", group_line)
     if fields:
-        raise SpecError(f"unknown fields: {sorted(fields)}")
+        raise SpecError(f"unknown fields: {sorted(fields)}",
+                        min(line for _, line in fields.values()))
     return KiteSpec(group_desc, n, lam, rho, blocks, bound, samples, seed)
 
 
@@ -389,9 +390,8 @@ def _suite_subdirect(spec, G, sys_):
     A = kt.KiteAlgebra(G, sys_)
     bound = min(spec.bound, 2)
     report = sd.subdirect_embedding_check(A, bound=bound)
-    kernels = sd.check_kernel_projects_to_zero(A, bound=bound)
-    return _entry(merge([report.verdict, kernels]), report=report.to_json(),
-                  kernel_check=kernels.to_json())
+    return _entry(report.verdict, report=report.to_json(),
+                  kernel_check=report.kernel_check.to_json())
 
 
 _SUITE_FUNCS = {

@@ -140,23 +140,21 @@ def dual_components(sys: IndexSystem) -> Partition:
     return _orbits(derived_tau(sys))
 
 
-def _block_of(partition: Partition, i: int) -> frozenset[int]:
-    for b in partition:
-        if i in b:
-            return b
-    raise IndexError(f"index {i} out of range")
+def _block_table(partition: Partition) -> dict[int, frozenset[int]]:
+    """The block of the partition that holds each index."""
+    return {i: b for b in partition for i in b}
 
 
 def is_connected(sys: IndexSystem, i: int, j: int) -> bool:
     if not (0 <= i < sys.n and 0 <= j < sys.n):
         raise IndexError("index out of range")
-    return j in _block_of(components(sys), i)
+    return j in _block_table(components(sys))[i]
 
 
 def is_dually_connected(sys: IndexSystem, i: int, j: int) -> bool:
     if not (0 <= i < sys.n and 0 <= j < sys.n):
         raise IndexError("index out of range")
-    return j in _block_of(dual_components(sys), i)
+    return j in _block_table(dual_components(sys))[i]
 
 
 def check_component_laws(sys: IndexSystem) -> Verdict:
@@ -166,6 +164,9 @@ def check_component_laws(sys: IndexSystem) -> Verdict:
     implementation bug rather than a property of the input.
     """
     comps = components(sys)
+    block, dblock = _block_table(comps), _block_table(dual_components(sys))
+    conn = lambda i, j: j in block[i]
+    dconn = lambda i, j: j in dblock[i]
     lam, rho = sys.lam, sys.rho
     lam_inv, rho_inv = sys.lam_inv, sys.rho_inv
     checked = 0
@@ -180,12 +181,10 @@ def check_component_laws(sys: IndexSystem) -> Verdict:
             return Verdict.failure(("roundtrip", sorted(C)), checked)
     for i in range(sys.n):
         checked += 1
-        if not is_connected(sys, lam[i], rho[i]):
+        if not conn(lam[i], rho[i]):
             return Verdict.failure(("lam-rho-connected", i), checked)
 
     # dual-connectivity properties, as stated (disjunctions checked verbatim)
-    conn = lambda i, j: is_connected(sys, i, j)
-    dconn = lambda i, j: is_dually_connected(sys, i, j)
     for i in range(sys.n):
         checked += 1
         if not dconn(lam_inv[i], rho_inv[i]):

@@ -302,8 +302,10 @@ class LoopGroup(PoGroup):
 # ---------------------------------------------------------------------------
 
 def parse_group(text: str) -> PoGroup:
-    desc = text.strip()
-    group, rest = _parse_desc(desc)
+    try:
+        group, rest = _parse_desc(text.strip())
+    except RecursionError:
+        raise ValueError("group descriptor nested too deeply") from None
     if rest.strip():
         raise ValueError(f"trailing input in group descriptor: {rest!r}")
     return group

@@ -87,11 +87,12 @@ class SubdirectReport:
     surjectivity: tuple[Verdict, ...]
     reconstruction: Verdict
     hom_preservation: Verdict
+    kernel_check: Verdict
 
     @property
     def verdict(self) -> Verdict:
         return merge([self.injectivity, self.reconstruction, self.hom_preservation,
-                      *self.surjectivity])
+                      *self.surjectivity, self.kernel_check])
 
     def to_json(self) -> dict:
         return {
@@ -108,99 +109,83 @@ def subdirect_embedding_check(A: KiteAlgebra, bound: int = 2,
                               pair_cap: int = 200_000) -> SubdirectReport:
     """Verify the subdirect representation on the box: the tuple-of-projections
     map is injective, each projection is surjective onto the target box and is
-    a homomorphism of partial algebras, and every box element is exactly
-    reconstructible from its projections."""
+    a homomorphism of partial algebras, every box element is exactly
+    reconstructible from its projections, and the kernels meet in {0}.
+    Each check reads box[i] projected onto kernels[k] from table[k][i]."""
     kernels = tuple(component_kernel(A.sys, c) for c in components(A.sys))
+    targets = [component_algebra(A, k) for k in kernels]
     box = A.enumerate_box(bound)
+    table = [[project_component(A, k, x) for x in box] for k in kernels]
 
     images = {}
-    injectivity = Verdict.passed(len(box))
-    for x in box:
-        key = tuple(project_component(A, k, x) for k in kernels)
-        if key in images and images[key] != x:
-            injectivity = Verdict.failure((images[key], x), len(box),
+    injectivity = recon = None
+    for checked, (x, pieces) in enumerate(zip(box, zip(*table)), start=1):
+        if injectivity is None and images.setdefault(pieces, x) != x:
+            injectivity = Verdict.failure((images[pieces], x), len(box),
                                           "distinct elements with equal projections")
-            break
-        images[key] = x
+        if recon is None and reconstruct(A, kernels, pieces) != x:
+            recon = Verdict.failure((x,), checked, "round-trip reconstruction failed")
 
     surjectivity = []
-    for k in kernels:
-        target = component_algebra(A, k)
-        hit = {project_component(A, k, x) for x in box}
+    for k, target, row in zip(kernels, targets, table):
         want = set(target.enumerate_box(bound))
-        missing = want - hit
-        if missing:
-            surjectivity.append(Verdict.failure(
-                (sorted(map(repr, missing))[0],), len(want),
-                f"component {[i + 1 for i in k.component]} projection misses box elements"))
-        else:
-            surjectivity.append(Verdict.passed(len(want)))
+        missing = sorted(map(repr, want - set(row)))
+        surjectivity.append(Verdict.failure(
+            (missing[0],), len(want),
+            f"component {[i + 1 for i in k.component]} projection misses box elements")
+            if missing else Verdict.passed(len(want)))
 
-    recon = Verdict.passed(0)
-    checked = 0
-    for x in box:
-        pieces = [project_component(A, k, x) for k in kernels]
-        checked += 1
-        if reconstruct(A, kernels, pieces) != x:
-            recon = Verdict.failure((x,), checked, "round-trip reconstruction failed")
-            break
-    else:
-        recon = Verdict.passed(checked)
-
-    hom = _check_projection_hom(A, kernels, box, pair_cap)
-    return SubdirectReport(kernels, injectivity, tuple(surjectivity), recon, hom)
+    hom = _check_projection_hom(A, kernels, targets, box, table, pair_cap)
+    kernel_check = check_kernel_projects_to_zero(A, kernels, targets, box, table)
+    return SubdirectReport(kernels, injectivity or Verdict.passed(len(box)),
+                           tuple(surjectivity), recon or Verdict.passed(len(box)),
+                           hom, kernel_check)
 
 
-def _check_projection_hom(A, kernels, box, pair_cap) -> Verdict:
+def _check_projection_hom(A, kernels, targets, box, table, pair_cap) -> Verdict:
     """Each projection preserves 0, 1, order, definedness and value of +,
-    and both complements.
+    and both complements; table[k][i] is box[i] projected onto kernels[k].
 
-    The sum checks share one seeded pair stream: each kite sum is computed
-    once and checked on every component, and the first failing (pair,
-    component) in stream order is the witness.
+    The sum checks share one seeded stream of index pairs: each kite sum is
+    computed and projected once and checked on every component, and the
+    first failing (pair, component) in stream order is the witness.
     """
-    targets = [component_algebra(A, k) for k in kernels]
     checked = 0
-    for k, target in zip(kernels, targets):
+    for k, target, row in zip(kernels, targets, table):
         if project_component(A, k, A.zero) != target.zero:
             return Verdict.failure(("zero", k.component), checked)
         if project_component(A, k, A.one) != target.one:
             return Verdict.failure(("one", k.component), checked)
-        for x in box:
+        for x, px in zip(box, row):
             checked += 1
-            if project_component(A, k, A.complement_minus(x)) != \
-                    target.complement_minus(project_component(A, k, x)):
+            if project_component(A, k, A.complement_minus(x)) != target.complement_minus(px):
                 return Verdict.failure(("minus", k.component, x), checked)
-            if project_component(A, k, A.complement_tilde(x)) != \
-                    target.complement_tilde(project_component(A, k, x)):
+            if project_component(A, k, A.complement_tilde(x)) != target.complement_tilde(px):
                 return Verdict.failure(("tilde", k.component, x), checked)
-    for x, y in sweep(box, 2, pair_cap, pair_cap, random.Random(0))[1]:
-        s = A.add(x, y)
+    for i, j in sweep(range(len(box)), 2, pair_cap, pair_cap, random.Random(0))[1]:
+        s = A.add(box[i], box[j])
         if s is None:
             checked += len(kernels)
             continue
-        for k, target in zip(kernels, targets):
+        for k, target, row in zip(kernels, targets, table):
             checked += 1
-            t = target.add(project_component(A, k, x), project_component(A, k, y))
+            t = target.add(row[i], row[j])
             if t is None or project_component(A, k, s) != t:
-                return Verdict.failure(("sum", k.component, x, y), checked)
+                return Verdict.failure(("sum", k.component, box[i], box[j]), checked)
     return Verdict.passed(checked)
 
 
-def check_kernel_projects_to_zero(A: KiteAlgebra, bound: int = 2) -> Verdict:
+def check_kernel_projects_to_zero(A: KiteAlgebra, kernels, targets, box, table) -> Verdict:
     """Every kernel element (identity on J') projects onto the component's 0,
     and the kernels of all components intersect in {0}."""
-    kernels = [component_kernel(A.sys, c) for c in components(A.sys)]
     e = A.G.identity
-    box = A.enumerate_box(bound)
     checked = 0
-    for k in kernels:
-        target = component_algebra(A, k)
-        for x in box:
+    for k, target, row in zip(kernels, targets, table):
+        for x, px in zip(box, row):
             if not k.in_kernel(x, e):
                 continue
             checked += 1
-            if project_component(A, k, x) != target.zero:
+            if px != target.zero:
                 return Verdict.failure(("kernel-image", k.component, x), checked)
     for x in box:
         checked += 1

@@ -29,8 +29,10 @@ from kitealg.cli import (
     parse_spec,
     run_suite,
 )
+from kitealg import subdirect as sd
 from kitealg.kite import KiteAlgebra
 from kitealg.pogroup import parse_group
+from kitealg.verdict import FAIL, PASS, Verdict
 
 EX82_SPEC = """\
 # four-index example system
@@ -99,6 +101,9 @@ class TestParseSpec:
         ("n=1\nlambda=[1]\nrho=[1]\nbound=-1", r"bad bound: -1 is negative \(line 4\)"),
         ("n=1\nlambda=[1]\nrho=[1]\nsamples=-5", r"bad samples: -5 is negative"),
         ("n=1\nlambda=[1]\nrho=[1]\nseed=1.5", r"bad seed: '1.5'"),
+        ("n=1\nlambda=[1]\ngroup=Q\nrho=[1]", r"bad group descriptor: .* \(line 3\)"),
+        ("n=2\nlambda=[1,2]\nrho=[2,1]\nfoo=1", r"unknown fields: \['foo'\] \(line 4\)"),
+        ("n=2 bar=1\nlambda=[1,2]\nrho=[2,1]\nfoo=1", r"\['bar', 'foo'\] \(line 1\)"),
     ])
     def test_errors(self, text, fragment):
         with pytest.raises(SpecError, match=fragment):
@@ -211,6 +216,17 @@ class TestRunSuite:
         assert exit_code(report) == EXIT_FAIL
 
 
+def test_planted_kernel_fault_fails_the_subdirect_entry(monkeypatch):
+    planted = Verdict.failure(("kernel-intersection", "planted"), 5, "planted fault")
+    monkeypatch.setattr(sd, "check_kernel_projects_to_zero", lambda *args: planted)
+    report = run_suite(parse_spec(EX82_SPEC), "subdirect")
+    entry = report["suites"]["subdirect"]
+    assert report["status"] == entry["status"] == FAIL
+    assert entry["kernel_check"] == planted.to_json()
+    assert entry["witnesses"] == [repr(("kernel-intersection", "planted"))]
+    assert all(v["status"] == PASS for v in entry["report"]["surjectivity"])
+
+
 class TestExitCodes:
     def test_pass(self):
         assert exit_code({"status": "PASS"}) == EXIT_PASS
@@ -306,6 +322,18 @@ class TestMain:
         spec_path.write_bytes(text)
         assert main([suite, "--spec", str(spec_path)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("group", [
+        "lex(" * 1_200 + "Z",
+        "lex(" * 5_000 + "Z",
+        "prod(" * 5_000 + "Z" + ",Z)" * 5_000,
+    ], ids=["lex-1200-open", "lex-5000-open", "prod-5000-closed"])
+    def test_deeply_nested_group_is_usage(self, tmp_path, capsys, group):
+        spec_path = tmp_path / "deep.kite"
+        spec_path.write_text(f"n = 2\ngroup = {group}\nlambda = [1,2]\nrho = [2,1]\n")
+        assert main(["components", "--spec", str(spec_path)]) == EXIT_USAGE
+        assert ("error: bad group descriptor: group descriptor nested too deeply (line 2)"
+                in capsys.readouterr().err)
 
     def test_spec_error_is_usage(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.kite"
