@@ -77,7 +77,7 @@ def parse_permutation(text: str, n: int) -> tuple[int, ...]:
             images = [int(v) for v in s[1:-1].replace(",", " ").split()]
         except ValueError:
             raise SpecError(f"bad image list {text!r}")
-        if sorted(images) != list(range(1, n + 1)):
+        if len(images) != n or sorted(images) != list(range(1, n + 1)):
             raise SpecError(f"invalid-permutation: {text!r} is not a permutation of 1..{n}")
         return tuple(v - 1 for v in images)
     if s.startswith("("):
@@ -311,10 +311,15 @@ def _suite_decomposition(spec, G, sys_):
 
 
 def _kite_sample(spec, A):
-    """``bounded_sample`` of the kite box, keeping 0 and 1, drawn without
-    building the box."""
-    sample = A.sample_box(spec.bound, max(spec.samples, 2), spec.seed)
-    return sample + [x for x in (A.zero, A.one) if x not in sample]
+    """The kite sample, keeping 0 and 1, drawn by position from the box."""
+    return bounded_sample(A.enumerate_box(spec.bound), max(spec.samples, 2), spec.seed,
+                          keep=(A.zero, A.one))
+
+
+def _loop_sample(spec, W, bound):
+    """The loop sample, keeping neutral and u, drawn by position from the box."""
+    return bounded_sample(W.enumerate_box(bound), spec.samples, spec.seed,
+                          keep=(W.neutral, W.unit))
 
 
 def _suite_axioms(spec, G, sys_):
@@ -349,8 +354,7 @@ def _suite_loop(spec, G, sys_):
     W = pl.PoLoop(G, sys_)
     bound = min(spec.bound, 2)
     assoc = pl.is_associative(W, bound=bound, seed=spec.seed)
-    box = W.enumerate_box(bound)
-    sample = bounded_sample(box, spec.samples, spec.seed, keep=(W.neutral, W.unit))
+    sample = _loop_sample(spec, W, bound)
     inv_failures = [
         p for p, (right, left) in zip(sample, map(W.inverses, sample))
         if W.mul(p, right) != W.neutral or W.mul(left, p) != W.neutral

@@ -11,15 +11,15 @@ testable.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional
 
 from kitealg.indexsys import IndexSystem
 from kitealg.pogroup import PoGroup
-from kitealg.verdict import Verdict, sweep
+from kitealg.verdict import Box, Verdict, sweep
 
 LOWER = "L"
 UPPER = "U"
@@ -69,47 +69,13 @@ class KiteAlgebra:
     def upper(self, *coords) -> KiteElement:
         return KiteElement(UPPER, tuple(coords))
 
-    def _cones(self, bound: int) -> tuple[list, list]:
-        G = self.G
-        box = G.enumerate_box(bound)
-        return [g for g in box if G.is_positive(g)], [g for g in box if G.is_negative(g)]
-
-    def enumerate_box(self, bound: int) -> list[KiteElement]:
+    def enumerate_box(self, bound: int) -> Box:
         """All elements with coordinates in the box: Lower tuples over the
-        positive part, then Upper tuples over the negative part, each in
-        product order (last coordinate fastest); 0 first."""
-        pos, neg = self._cones(bound)
+        positive part, then Upper tuples over the negative part; 0 first."""
+        pos, neg = self.G.cones(bound)
         n = self.sys.n
-        lowers = [KiteElement(LOWER, t) for t in itertools.product(pos, repeat=n)]
-        uppers = [KiteElement(UPPER, t) for t in itertools.product(neg, repeat=n)]
-        return lowers + uppers
-
-    def sample_box(self, bound: int, k: int, seed: int) -> list[KiteElement]:
-        """``random.Random(seed).sample(self.enumerate_box(bound), k)``, or the
-        whole box when it holds at most k elements, without building the box.
-
-        random.sample reads only the population's length and items, so
-        drawing positions and decoding each in the enumerate_box order picks
-        the same elements in the same order.
-        """
-        pos, neg = self._cones(bound)
-        n = self.sys.n
-        lowers = len(pos) ** n
-        total = lowers + len(neg) ** n
-        if total <= k:
-            return self.enumerate_box(bound)
-        out = []
-        for p in random.Random(seed).sample(range(total), k):
-            if p < lowers:
-                tag, cone = LOWER, pos
-            else:
-                tag, cone, p = UPPER, neg, p - lowers
-            coords = []
-            for _ in range(n):
-                p, r = divmod(p, len(cone))
-                coords.append(cone[r])
-            out.append(KiteElement(tag, tuple(reversed(coords))))
-        return out
+        return Box([(partial(KiteElement, LOWER), pos, n),
+                    (partial(KiteElement, UPPER), neg, n)])
 
     # -- order and addition -------------------------------------------------
 
@@ -356,23 +322,19 @@ def sum_classes(A: KiteAlgebra, sample: list[KiteElement]) -> list[list]:
     return list(by_sum.values())
 
 
-def rdp_quadruples(A: KiteAlgebra, sample: list[KiteElement], classes=None):
+def quadruple_box(classes) -> Box:
+    """The quadruples (a1, a2, b1, b2) with (a1, a2) and (b1, b2) in one sum
+    class, class by class."""
+    return Box((lambda t: t[0] + t[1], pairs, 2) for pairs in classes)
+
+
+def rdp_quadruples(A: KiteAlgebra, sample: list[KiteElement], box=None):
     """All (a1, a2, b1, b2) from the sample with a1+a2 = b1+b2 defined.
 
-    classes, when given, is ``sum_classes(A, sample)`` already computed.
+    box, when given, is ``quadruple_box(sum_classes(A, sample))`` already
+    built.
     """
-    for pairs in sum_classes(A, sample) if classes is None else classes:
-        for (a1, a2), (b1, b2) in itertools.product(pairs, repeat=2):
-            yield a1, a2, b1, b2
-
-
-def _quadruple_at(classes, starts, pos):
-    """The quadruple at position pos of the rdp_quadruples stream over
-    classes; starts[c] is the position of the first quadruple of class c."""
-    c = bisect.bisect_right(starts, pos) - 1
-    pairs = classes[c]
-    q, r = divmod(pos - starts[c], len(pairs))
-    return pairs[q] + pairs[r]
+    yield from quadruple_box(sum_classes(A, sample)) if box is None else box
 
 
 def rdp_side_condition(A: KiteAlgebra, variant: str, c12, c21,
@@ -420,22 +382,18 @@ def check_kite_rdp(A: KiteAlgebra, variant: str, sample: list[KiteElement],
     """Search a refinement for every sampled quadruple with equal defined sums.
 
     A missing refinement is INCONCLUSIVE (bounded search), not a refutation.
-    Above quad_cap, positions in the quadruple stream are drawn and decoded
-    one at a time, so no list of quadruples is held.
+    Above quad_cap, quad_cap positions of the quadruple box are drawn and
+    decoded one at a time, so no list of quadruples is held.
     """
-    rng = random.Random(seed)
-    classes = sum_classes(A, sample)
-    sizes = [len(pairs) ** 2 for pairs in classes]
-    total = sum(sizes)
-    if total <= quad_cap:
-        quads = rdp_quadruples(A, sample, classes)
+    box = quadruple_box(sum_classes(A, sample))
+    if len(box) <= quad_cap:
+        quads = rdp_quadruples(A, sample, box)
     else:
-        # random.sample reads only the population's length and items, so
-        # drawing positions picks the quadruples a list would give
-        starts = list(itertools.accumulate(sizes, initial=0))
-        quads = (_quadruple_at(classes, starts, pos)
-                 for pos in rng.sample(range(total), quad_cap))
-    checked, found, witnesses = min(total, quad_cap), 0, []
+        # the positions random.sample would pick from list(box), each
+        # decoded when it is read
+        rng = random.Random(seed)
+        quads = map(box.__getitem__, rng.sample(range(len(box)), quad_cap))
+    checked, found, witnesses = min(len(box), quad_cap), 0, []
     for a1, a2, b1, b2 in quads:
         if find_kite_refinement(A, variant, a1, a2, b1, b2, sample) is not None:
             found += 1

@@ -77,6 +77,12 @@ class PoGroup:
     def is_negative(self, a: Element) -> bool:
         return self.leq(a, self.identity)
 
+    def cones(self, bound: int) -> tuple[list, list]:
+        """The box's positive and negative elements, each in box order."""
+        box = self.enumerate_box(bound)
+        return ([g for g in box if self.is_positive(g)],
+                [g for g in box if self.is_negative(g)])
+
     # Whole-tuple operations on coordinate sequences of equal length.
 
     def op_each(self, xs, ys) -> tuple:
@@ -289,7 +295,7 @@ class LoopGroup(PoGroup):
         return self.loop.leq(a, b)
 
     def enumerate_box(self, bound):
-        return self.loop.enumerate_box(bound)
+        return list(self.loop.enumerate_box(bound))
 
     def encode(self, a):
         return (a.m,) + tuple(
@@ -301,26 +307,28 @@ class LoopGroup(PoGroup):
 # Descriptor parsing: Z | Z^k | lex(d1,d2) | prod(d1,d2)
 # ---------------------------------------------------------------------------
 
+MAX_NESTING = 100  # a product's order tests recurse once per level
+
+
 def parse_group(text: str) -> PoGroup:
-    try:
-        group, rest = _parse_desc(text.strip())
-    except RecursionError:
-        raise ValueError("group descriptor nested too deeply") from None
+    group, rest = _parse_desc(text.strip(), 0)
     if rest.strip():
         raise ValueError(f"trailing input in group descriptor: {rest!r}")
     return group
 
 
-def _parse_desc(s: str) -> tuple[PoGroup, str]:
+def _parse_desc(s: str, depth: int) -> tuple[PoGroup, str]:
     s = s.lstrip()
     if s.startswith("lex(") or s.startswith("prod("):
+        if depth == MAX_NESTING:
+            raise ValueError("group descriptor nested too deeply")
         ctor = LexProduct if s.startswith("lex(") else DirectProduct
         s = s[s.index("(") + 1:]
-        left, s = _parse_desc(s)
+        left, s = _parse_desc(s, depth + 1)
         s = s.lstrip()
         if not s.startswith(","):
             raise ValueError("expected ',' in product descriptor")
-        right, s = _parse_desc(s[1:])
+        right, s = _parse_desc(s[1:], depth + 1)
         s = s.lstrip()
         if not s.startswith(")"):
             raise ValueError("expected ')' in product descriptor")

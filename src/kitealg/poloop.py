@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from kitealg.indexsys import (
@@ -24,7 +25,7 @@ from kitealg.indexsys import (
 )
 from kitealg.kite import KiteAlgebra, KiteElement, LOWER
 from kitealg.pogroup import PoGroup
-from kitealg.verdict import Verdict, sweep
+from kitealg.verdict import Box, Verdict, sweep
 
 
 @dataclass(frozen=True)
@@ -110,13 +111,11 @@ class PoLoop:
     def u_power(self, k: int) -> LoopElement:
         return LoopElement(k, (self.G.identity,) * self.sys.n)
 
-    def enumerate_box(self, bound: int) -> list[LoopElement]:
+    def enumerate_box(self, bound: int) -> Box:
+        """Levels -bound..bound, each over the n-tuples of the group's box."""
         gbox = self.G.enumerate_box(bound)
-        return [
-            LoopElement(m, coords)
-            for m in range(-bound, bound + 1)
-            for coords in itertools.product(gbox, repeat=self.sys.n)
-        ]
+        return Box((partial(LoopElement, m), gbox, self.sys.n)
+                   for m in range(-bound, bound + 1))
 
     def twists_commute(self) -> bool:
         """Algebraic associativity criterion: the two twists commute."""
@@ -154,7 +153,7 @@ def is_associative(W: PoLoop, bound: int = 2, seed: int = 0,
     twist, so any defect in the full box shows up there.
     """
     algebraic = W.twists_commute()
-    box = W.enumerate_box(bound)
+    box = list(W.enumerate_box(bound))
     witness = None
     checked = 0
 
@@ -233,17 +232,14 @@ class GammaInterval:
         self._require(p)
         return self.W.left_div(self.one, p)
 
-    def enumerate_box(self, bound: int) -> list[LoopElement]:
-        """The interval's elements with coordinates in the box, in the order
-        of the loop's box: level 0 over the positive part, then level 1 over
-        the negative part.  Built from the group's cones, not from the kite's
-        box, so that embed_kite compares two enumerations."""
-        G, n = self.W.G, self.W.sys.n
-        gbox = G.enumerate_box(bound)
-        pos = [g for g in gbox if G.is_positive(g)]
-        neg = [g for g in gbox if G.is_negative(g)]
-        return ([LoopElement(0, c) for c in itertools.product(pos, repeat=n)]
-                + [LoopElement(1, c) for c in itertools.product(neg, repeat=n)])
+    def enumerate_box(self, bound: int) -> Box:
+        """The interval's elements with coordinates in the box, in the loop
+        box's order: level 0 over the positive cone, then level 1 over the
+        negative cone.  Built as loop elements, not as phi's images of the
+        kite's box, so that embed_kite compares two enumerations."""
+        pos, neg = self.W.G.cones(bound)
+        n = self.W.sys.n
+        return Box([(partial(LoopElement, 0), pos, n), (partial(LoopElement, 1), neg, n)])
 
     def check_complements(self, bound: int) -> Verdict:
         """Re-multiply the complements on the interval box."""
@@ -273,7 +269,7 @@ def embed_kite(A: KiteAlgebra, bound: int = 2) -> Verdict:
     else 40,000 seeded draws."""
     W = PoLoop(A.G, A.sys)
     gamma = GammaInterval(W)
-    kite_box = A.enumerate_box(bound)
+    kite_box = list(A.enumerate_box(bound))
     images = [embed_kite_element(x) for x in kite_box]
     interval_box = gamma.enumerate_box(bound)
     checked = 0
@@ -318,19 +314,14 @@ class BlockSubgroup:
             len({p.coords[i] for i in block}) == 1 for block in self.blocks
         )
 
-    def enumerate_box(self, bound: int) -> list[LoopElement]:
-        """Block-constant elements with box coordinates, deterministic order."""
+    def enumerate_box(self, bound: int) -> Box:
+        """Block-constant elements with box coordinates: levels -bound..bound,
+        each over one group element per block."""
         W = self.parent
         gbox = W.G.enumerate_box(bound)
-        out = []
-        for m in range(-bound, bound + 1):
-            for choice in itertools.product(gbox, repeat=len(self.blocks)):
-                coords = [None] * W.sys.n
-                for block, g in zip(self.blocks, choice):
-                    for i in block:
-                        coords[i] = g
-                out.append(LoopElement(m, tuple(coords)))
-        return out
+        owner = [k for i in range(W.sys.n) for k, b in enumerate(self.blocks) if i in b]
+        return Box((lambda choice, m=m: LoopElement(m, tuple(map(choice.__getitem__, owner))),
+                    gbox, len(self.blocks)) for m in range(-bound, bound + 1))
 
 
 def block_subgroup(W: PoLoop, blocks, bound: int = 2, triple_samples: int = 1000,
@@ -344,7 +335,7 @@ def block_subgroup(W: PoLoop, blocks, bound: int = 2, triple_samples: int = 1000
         raise ValueError(f"invalid decomposition: {dec.detail}")
     H = BlockSubgroup(W, blocks)
     rng = random.Random(seed)
-    hbox = H.enumerate_box(bound)
+    hbox = list(H.enumerate_box(bound))
     checked = 0
 
     if not H.contains(W.unit):

@@ -114,7 +114,7 @@ def subdirect_embedding_check(A: KiteAlgebra, bound: int = 2,
     Each check reads box[i] projected onto kernels[k] from table[k][i]."""
     kernels = tuple(component_kernel(A.sys, c) for c in components(A.sys))
     targets = [component_algebra(A, k) for k in kernels]
-    box = A.enumerate_box(bound)
+    box = list(A.enumerate_box(bound))
     table = [[project_component(A, k, x) for x in box] for k in kernels]
 
     images = {}

@@ -1,8 +1,11 @@
-"""Structured pass/fail results shared by all checkers."""
+"""Structured pass/fail results, the tuple sweep and the indexable box shared
+by all checkers."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 PASS = "PASS"
@@ -71,3 +74,38 @@ def sweep(space, arity, cap, draws, rng):
         return True, itertools.product(space, repeat=arity)
     picks = map(rng.choice, itertools.repeat(space, draws * arity))
     return False, zip(*[picks] * arity)
+
+
+class Box(Sequence):
+    """The concatenation, over the blocks (make, factors, n), of make(t) for
+    t in itertools.product(factors, repeat=n): last coordinate fastest.
+
+    box[i] decodes position i without building the box, so random.sample,
+    rng.choice and sweep draw from a Box what they draw from list(box).
+    Each factors is a sequence.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
+        self.starts = list(itertools.accumulate(
+            (len(factors) ** n for _, factors, n in self.blocks), initial=0))
+
+    def __len__(self):
+        return self.starts[-1]
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(
+            map(make, itertools.product(factors, repeat=n))
+            for make, factors, n in self.blocks)
+
+    def __getitem__(self, i):
+        if not 0 <= i < len(self):
+            raise IndexError("Box index out of range")
+        b = bisect.bisect_right(self.starts, i) - 1
+        make, factors, n = self.blocks[b]
+        i -= self.starts[b]
+        coords = [None] * n
+        for k in reversed(range(n)):
+            i, r = divmod(i, len(factors))
+            coords[k] = factors[r]
+        return make(tuple(coords))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,7 @@ from kitealg.cli import (
     KiteSpec,
     SpecError,
     _kite_sample,
+    _loop_sample,
     bounded_sample,
     exit_code,
     main,
@@ -31,8 +33,9 @@ from kitealg.cli import (
 )
 from kitealg import subdirect as sd
 from kitealg.kite import KiteAlgebra
-from kitealg.pogroup import parse_group
-from kitealg.verdict import FAIL, PASS, Verdict
+from kitealg.pogroup import MAX_NESTING, parse_group
+from kitealg.poloop import PoLoop
+from kitealg.verdict import FAIL, PASS, Box, Verdict
 
 EX82_SPEC = """\
 # four-index example system
@@ -61,6 +64,16 @@ class TestParsePermutation:
     def test_rejects(self, bad):
         with pytest.raises(SpecError):
             parse_permutation(bad, 4)
+
+    def test_short_image_list_is_rejected_before_the_identity_is_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpecError):
+                parse_permutation("[1]", 1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestParseBlocks:
@@ -140,14 +153,20 @@ class TestBoundedSample:
         assert _kite_sample(spec, A) == bounded_sample(box, samples, seed,
                                                        keep=(A.zero, A.one))
 
+    LARGE_BOX_SPEC = ("group = Z^2\nn = 7\nlambda = (1 2 3 4 5 6 7)\n"
+                      "rho = [1,2,3,4,5,6,7]\nbound = 2\nsamples = 50\n")
+
+    @staticmethod
+    def refuse_to_build(monkeypatch):
+        def refuse(self):
+            raise AssertionError("the whole box was built")
+        monkeypatch.setattr(Box, "__iter__", refuse)
+
     def test_kite_sample_leaves_a_large_box_unbuilt(self, tmp_path, capsys,
                                                     monkeypatch):
         # n = 7 over Z^2 at bound 2: a box of 2 * 9**7 elements
-        def refuse(self, bound):
-            raise AssertionError("the whole box was built")
-        monkeypatch.setattr(KiteAlgebra, "enumerate_box", refuse)
-        text = ("group = Z^2\nn = 7\nlambda = (1 2 3 4 5 6 7)\n"
-                "rho = [1,2,3,4,5,6,7]\nbound = 2\nsamples = 50\n")
+        self.refuse_to_build(monkeypatch)
+        text = self.LARGE_BOX_SPEC
         spec = parse_spec(text)
         A = KiteAlgebra(parse_group("Z^2"), spec.system)
         sample = _kite_sample(spec, A)
@@ -157,6 +176,18 @@ class TestBoundedSample:
         spec_path = tmp_path / "n7.kite"
         spec_path.write_text(text)
         assert main(["axioms", "--spec", str(spec_path)]) == EXIT_PASS
+
+    def test_loop_sample_leaves_a_large_box_unbuilt(self, monkeypatch):
+        # the loop box at the clamped bound 2 has 5 * 25**7 elements; the
+        # loop suite itself still builds it for its triple search
+        self.refuse_to_build(monkeypatch)
+        spec = parse_spec(self.LARGE_BOX_SPEC)
+        W = PoLoop(parse_group("Z^2"), spec.system)
+        sample = _loop_sample(spec, W, 2)
+        assert 50 <= len(sample) == len(set(sample)) <= 52
+        assert W.neutral in sample and W.unit in sample
+        assert all(abs(p.m) <= 2 and len(p.coords) == 7 and
+                   all(max(map(abs, g)) <= 2 for g in p.coords) for p in sample)
 
 
 class TestRunSuite:
@@ -327,13 +358,23 @@ class TestMain:
         "lex(" * 1_200 + "Z",
         "lex(" * 5_000 + "Z",
         "prod(" * 5_000 + "Z" + ",Z)" * 5_000,
-    ], ids=["lex-1200-open", "lex-5000-open", "prod-5000-closed"])
+        # parses within the recursion limit, but overflows it in the box suites
+        "lex(" * 700 + "Z" + ",Z)" * 700,
+    ], ids=["lex-1200-open", "lex-5000-open", "prod-5000-closed", "lex-700-closed"])
     def test_deeply_nested_group_is_usage(self, tmp_path, capsys, group):
         spec_path = tmp_path / "deep.kite"
         spec_path.write_text(f"n = 2\ngroup = {group}\nlambda = [1,2]\nrho = [2,1]\n")
         assert main(["components", "--spec", str(spec_path)]) == EXIT_USAGE
         assert ("error: bad group descriptor: group descriptor nested too deeply (line 2)"
                 in capsys.readouterr().err)
+
+    def test_deepest_accepted_group_runs_the_axioms(self, tmp_path):
+        # a product's order tests recurse once per level, so every descriptor
+        # the parser accepts must still be evaluable by the box suites
+        group = "lex(" * MAX_NESTING + "Z" + ",Z)" * MAX_NESTING
+        spec_path = tmp_path / "deep.kite"
+        spec_path.write_text(f"n = 1\ngroup = {group}\nlambda = [1]\nrho = [1]\nbound = 0\n")
+        assert main(["axioms", "--spec", str(spec_path)]) == EXIT_PASS
 
     def test_spec_error_is_usage(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.kite"

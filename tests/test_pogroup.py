@@ -10,6 +10,7 @@ from kitealg.pogroup import (
     DirectProduct,
     IntegerGroup,
     LexProduct,
+    MAX_NESTING,
     LoopGroup,
     PreconditionError,
     UnsupportedCarrier,
@@ -23,6 +24,7 @@ from conftest import check_po_group_axioms
 Z = IntegerGroup()
 Z2 = VectorGroup(2)
 LEX = LexProduct(IntegerGroup(), IntegerGroup())
+DEEPEST = "lex(" * MAX_NESTING + "Z" + ",Z)" * MAX_NESTING
 
 
 class TestGroupOp:
@@ -109,11 +111,14 @@ class TestParseGroup:
         ("lex(Z,Z)", "lex(Z,Z)"),
         ("prod(Z,Z^2)", "prod(Z,Z^2)"),
         ("lex(prod(Z,Z),Z^2)", "lex(prod(Z,Z),Z^2)"),
+        pytest.param(DEEPEST, DEEPEST, id="deepest"),
     ])
     def test_roundtrip(self, desc, name):
         assert parse_group(desc).name == name
 
-    @pytest.mark.parametrize("bad", ["", "Q", "Z^", "lex(Z)", "Z,Z", "lex(Z,Z"])
+    @pytest.mark.parametrize("bad", ["", "Q", "Z^", "lex(Z)", "Z,Z", "lex(Z,Z",
+                                     pytest.param("prod(" + DEEPEST + ",Z)",
+                                                  id="one-level-too-deep")])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_group(bad)

@@ -45,7 +45,7 @@ class TestMul:
         assert W.mul(p, q) == LoopElement(1, (5, 5))
 
     def test_neutral(self, W82):
-        for p in W82.enumerate_box(1)[::17]:
+        for p in list(W82.enumerate_box(1))[::17]:
             assert W82.mul(p, W82.neutral) == p
             assert W82.mul(W82.neutral, p) == p
 
@@ -232,7 +232,7 @@ class TestEmbedding:
         A = KiteAlgebra(G, ex82)
         W = PoLoop(G, ex82)
         gamma = GammaInterval(W)
-        assert gamma.enumerate_box(0) == [W.neutral, W.unit]
+        assert list(gamma.enumerate_box(0)) == [W.neutral, W.unit]
         assert embed_kite(A, bound=0).ok
         assert gamma.check_complements(0).ok
 

@@ -1,9 +1,18 @@
-"""Verdict merging and the shared exhaustive-or-sampled tuple sweep."""
+"""Verdict merging, the shared exhaustive-or-sampled tuple sweep, and the
+indexable Box every bounded carrier is built as."""
 
 import itertools
 import random
 
-from kitealg.verdict import INCONCLUSIVE, Verdict, merge, sweep
+import pytest
+
+from kitealg.indexsys import IndexSystem
+from kitealg.kite import KiteAlgebra, quadruple_box, sum_classes
+from kitealg.pogroup import IntegerGroup
+from kitealg.poloop import PoLoop
+from kitealg.verdict import INCONCLUSIVE, Box, Verdict, merge, sweep
+
+EX82 = IndexSystem.from_one_based([1, 3, 2, 4], [2, 3, 1, 4])
 
 
 class TestMerge:
@@ -48,3 +57,61 @@ class TestSweep:
     def test_zero_draws_yield_nothing(self):
         exhaustive, tuples = sweep(list(range(10)), 2, 0, 0, random.Random(0))
         assert not exhaustive and list(tuples) == []
+
+
+def _kite_box():
+    return KiteAlgebra(IntegerGroup(), EX82).enumerate_box(1)
+
+
+def _loop_box():
+    return PoLoop(IntegerGroup(), EX82).enumerate_box(1)
+
+
+def _quadruple_box():
+    A = KiteAlgebra(IntegerGroup(), EX82)
+    return quadruple_box(sum_classes(A, list(A.enumerate_box(1))[::3]))
+
+
+BOXES = pytest.mark.parametrize("make_box", [_kite_box, _loop_box, _quadruple_box],
+                                ids=["kite", "loop", "rdp-sum-classes"])
+
+
+class TestBox:
+    @BOXES
+    def test_positions_decode_the_walk(self, make_box):
+        box = make_box()
+        assert [box[i] for i in range(len(box))] == list(box)
+
+    @BOXES
+    def test_index_error_past_the_end(self, make_box):
+        box = make_box()
+        with pytest.raises(IndexError):
+            box[len(box)]
+
+    @BOXES
+    @pytest.mark.parametrize("pool", [False, True], ids=["set-draws", "pool-copy"])
+    def test_sample_matches_the_list(self, make_box, pool):
+        # random.sample copies a population no larger than its set table (21
+        # entries for k <= 5, over 3k beyond) into a list and draws from the
+        # copy, and indexes a larger one directly
+        box = make_box()
+        assert len(box) > 21
+        k = len(box) // 2 if pool else 3
+        for seed in range(3):
+            assert random.Random(seed).sample(box, k) == random.Random(seed).sample(list(box), k)
+
+    @BOXES
+    def test_choice_and_sweep_match_the_list(self, make_box):
+        box = make_box()
+        items = list(box)
+        rng, legacy = random.Random(5), random.Random(5)
+        assert [rng.choice(box) for _ in range(20)] == [legacy.choice(items) for _ in range(20)]
+        for cap in (0, len(box) ** 2):
+            got = sweep(box, 2, cap, 30, rng)
+            want = sweep(items, 2, cap, 30, legacy)
+            assert got[0] == want[0] and list(got[1]) == list(want[1])
+
+    def test_blocks_concatenate_in_product_order(self):
+        box = Box([(tuple, "ab", 2), (str, [], 3), ("".join, "xyz", 1)])
+        assert list(box) == [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"), "x", "y", "z"]
+        assert len(box) == 7 and box[4] == "x"
