@@ -1,0 +1,224 @@
+"""Packed integers for kites and their intervals over Z and Z^k.
+
+Every scalar coordinate sits in a W-bit offset-binary field: a value c is
+stored as c + B with B = 2**(W-2), and the top bit of each field is
+headroom.  An element with n coordinates in Z^k is one int made of three
+segments of n*k fields plus two tag bits each:
+
+    plain | lam_inv-twisted << S | rho_inv-twisted << 2S
+
+The tag bit is set in every segment of an Upper element (interval level 1),
+whose three segments are equal: only a Lower element is ever twisted.  With
+its twists stored, a mixed sum is one add and one cone mask test, a Lower +
+Lower sum is one add of whole ints, and Upper + Upper is told by the tag
+bits adding up to 2.  Order and differences are a subtraction and a mask.
+
+A `Packing` offers the operations the axiom, embedding and subdirect
+checkers call on a kite (`add`, `leq`, both differences and complements,
+`one`, `zero`), over these ints.  The same class packs the interval
+Gamma(W, u) of the po-loop, with the loop's twists: its sum is the loop
+product at levels 0 and 1, defined when it lies below u.
+"""
+
+from __future__ import annotations
+
+import itertools
+import operator
+import random
+
+from kitealg.pogroup import IntegerGroup, VectorGroup
+from kitealg.verdict import sweep
+
+# each kernel sweep re-runs this many of its tuples (all of them when there
+# are fewer) through the object path, drawn by a Random of their own
+RECHECK = 256
+RECHECK_SEED = 20130829
+
+
+def supports(G) -> bool:
+    """Z and Z^k exactly: a subclass may change the arithmetic."""
+    return type(G) in (IntegerGroup, VectorGroup)
+
+
+def field_width(bound: int) -> int:
+    """Bits per field for scalars of absolute value at most bound: the bias
+    exceeds 8 * bound, so sums and differences of up to three box values,
+    plus the mask offsets, never leave their field."""
+    return (8 * bound).bit_length() + 2
+
+
+def coordinate_bound(G, coord_tuples) -> int:
+    """The largest absolute scalar in the given coordinate tuples."""
+    flat = type(G) is IntegerGroup
+    return max((abs(s) for cs in coord_tuples
+                for s in (cs if flat else itertools.chain.from_iterable(cs))), default=0)
+
+
+def twist(segment: int, src, width: int, zero: int) -> int:
+    """The segment whose block i (width bits) is block src[i] of segment, or
+    the zero block where src[i] is None."""
+    mask = (1 << width) - 1
+    out = 0
+    for i, j in enumerate(src):
+        out |= (zero if j is None else segment >> j * width & mask) << i * width
+    return out
+
+
+def recheck_tuples(size: int, arity: int):
+    """The index tuples a kernel sweep re-runs through the object path."""
+    return sweep(range(size), arity, RECHECK, RECHECK, random.Random(RECHECK_SEED))[1]
+
+
+def _inverse(src):
+    fwd = [None] * len(src)
+    for i, j in enumerate(src):
+        if j is not None:
+            fwd[j] = i
+    return fwd
+
+
+class Packing:
+    """Packed elements with n coordinates in G (Z or Z^k), every scalar of
+    absolute value at most bound; sums of up to three of them, and their
+    differences, stay exact.  The differences take members of the kite (Lower
+    coordinates positive, Upper ones negative), for which the object path's
+    re-addition of a difference always holds.
+
+    lam_src[i] and rho_src[i] name the coordinate that the lam_inv- and
+    rho_inv-twisted segments carry at position i; None leaves the identity
+    there, which lets a component's elements sit at the parent's positions.
+    The operations are closures over the layout's constants, so a sweep
+    calls them without attribute lookups.
+    """
+
+    def __init__(self, G, n: int, bound: int, lam_src, rho_src):
+        self.flat = type(G) is IntegerGroup
+        self.k = k = 1 if self.flat else G.k
+        self.w = w = field_width(bound)
+        self.bias = B = 1 << (w - 2)
+        fields = n * k
+        self.shifts = [w * f for f in range(fields)]
+        ones = sum(1 << s for s in self.shifts)
+        BIAS, HI, NEG = B * ones, 2 * B * ones, (B - 1) * ones
+        self.block = k * w
+        self.zero_block = B * sum(1 << (w * t) for t in range(k))
+        self.TAG = TAG = 1 << (fields * w)
+        TAG2 = 2 * TAG
+        self.S = S = fields * w + 2
+        S2 = 2 * S
+        SEG = (1 << S) - 1
+        REP = 1 | 1 << S | 1 << S2
+        BIAS3, HI3 = BIAS * REP, HI * REP
+        self.BIAS, self.REP = BIAS, REP
+        self.lam_src, self.rho_src = list(lam_src), list(rho_src)
+        lam_fwd, rho_fwd = _inverse(self.lam_src), _inverse(self.rho_src)
+        lower = self.lower
+        gather = self.twist
+
+        def add(x, y):
+            if y & TAG:  # Lower + Upper: x's lam_inv segment; Upper + Upper has tag 2
+                s = (x >> S & SEG) + (y & SEG) - BIAS
+                return None if s >= TAG2 or (s + NEG) & HI else s * REP
+            if x & TAG:  # Upper + Lower: y's rho_inv segment
+                s = (x & SEG) + (y >> S2) - BIAS
+                return None if (s + NEG) & HI else s * REP
+            return x + y - BIAS3
+
+        def leq(x, y):
+            if (x ^ y) & TAG:
+                return not x & TAG
+            return (y - x + HI3) & HI3 == HI3
+
+        def positive(p):
+            return (p + BIAS) & HI == HI
+
+        def diff_left(b, a):
+            """The d with d + a = b, or None."""
+            if a & TAG:
+                if not b & TAG:
+                    return None
+                li = (b & SEG) - (a & SEG) + BIAS  # d's lam_inv segment
+                return lower(gather(li, lam_fwd)) if positive(li) else None
+            if b & TAG:
+                p = (b & SEG) - (a >> S2) + BIAS
+                return None if (p + NEG) & HI else p * REP
+            d = b - a + BIAS3
+            return d if positive(d & SEG) else None
+
+        def diff_right(a, b):
+            """The c with a + c = b, or None."""
+            if a & TAG:
+                if not b & TAG:
+                    return None
+                ri = (b & SEG) - (a & SEG) + BIAS  # c's rho_inv segment
+                return lower(gather(ri, rho_fwd)) if positive(ri) else None
+            if b & TAG:
+                p = (b & SEG) - (a >> S & SEG) + BIAS
+                return None if (p + NEG) & HI else p * REP
+            c = b - a + BIAS3
+            return c if positive(c & SEG) else None
+
+        def complement_minus(x):
+            """minus(x) + x = 1."""
+            if x & TAG:
+                return lower(gather(TAG + HI - (x & SEG), lam_fwd))
+            return (TAG + HI - (x >> S2)) * REP
+
+        def complement_tilde(x):
+            """x + tilde(x) = 1."""
+            if x & TAG:
+                return lower(gather(TAG + HI - (x & SEG), rho_fwd))
+            return (TAG + HI - (x >> S & SEG)) * REP
+
+        self.add, self.leq = add, leq
+        self.diff_left, self.diff_right = diff_left, diff_right
+        self.complement_minus, self.complement_tilde = complement_minus, complement_tilde
+        self.zero = lower(BIAS)
+        self.one = (TAG + BIAS) * REP
+
+    def twist(self, segment: int, src) -> int:
+        return twist(segment, src, self.block, self.zero_block)
+
+    def lower(self, plain: int) -> int:
+        """The Lower element with this plain segment."""
+        return (plain | self.twist(plain, self.lam_src) << self.S
+                | self.twist(plain, self.rho_src) << 2 * self.S)
+
+    def pack(self, upper: bool, coords) -> int:
+        """The element with these n coordinates, Upper (level 1) or Lower."""
+        scalars = coords if self.flat else itertools.chain.from_iterable(coords)
+        plain = self.BIAS + sum(map(operator.lshift, scalars, self.shifts))
+        return (plain + self.TAG) * self.REP if upper else self.lower(plain)
+
+    def decode(self, v: int) -> tuple[bool, tuple]:
+        """(upper, coords) of a packed element."""
+        mask = (1 << self.w) - 1
+        scalars = [(v >> s & mask) - self.bias for s in self.shifts]
+        if not self.flat:
+            scalars = [tuple(scalars[i:i + self.k]) for i in range(0, len(scalars), self.k)]
+        return bool(v & self.TAG), tuple(scalars)
+
+    def restriction(self, lower_positions, upper_positions):
+        """The map of an element to its restriction: a Lower one keeps its
+        plain fields at lower_positions and its twisted fields at
+        upper_positions, an Upper one its fields at upper_positions; every
+        other field holds the identity.  This is a component's packing at
+        the parent's positions when lam_inv and rho_inv carry
+        lower_positions onto upper_positions."""
+        blocks = (1 << self.block) - 1
+
+        def fields(positions):
+            return sum(blocks << p * self.block for p in positions)
+
+        lo, up, S = fields(lower_positions), fields(upper_positions), self.S
+        keep_lower = lo | up << S | up << 2 * S
+        keep_upper = (up | self.TAG) * self.REP
+        fill_lower = self.BIAS * self.REP & ~keep_lower
+        fill_upper = self.BIAS * self.REP & ~keep_upper
+        TAG = self.TAG
+
+        def restrict(v):
+            if v & TAG:
+                return v & keep_upper | fill_upper
+            return v & keep_lower | fill_lower
+        return restrict

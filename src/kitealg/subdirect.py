@@ -11,9 +11,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
+from kitealg import packed
 from kitealg.indexsys import IndexSystem, components, perm_image
-from kitealg.kite import KiteAlgebra, KiteElement, LOWER
+from kitealg.kite import (
+    LOWER,
+    KiteAlgebra,
+    KiteElement,
+    decoded,
+    kernel_disagreement,
+    packed_element,
+)
 from kitealg.verdict import Verdict, merge, sweep
 
 
@@ -135,20 +144,26 @@ def subdirect_embedding_check(A: KiteAlgebra, bound: int = 2,
             f"component {[i + 1 for i in k.component]} projection misses box elements")
             if missing else Verdict.passed(len(want)))
 
-    hom = _check_projection_hom(A, kernels, targets, box, table, pair_cap)
+    packable = type(A) is KiteAlgebra and packed.supports(A.G)
+    hom = _check_projection_hom(A, kernels, targets, box, table, pair_cap,
+                                bound if packable else None)
     kernel_check = check_kernel_projects_to_zero(A, kernels, targets, box, table)
     return SubdirectReport(kernels, injectivity or Verdict.passed(len(box)),
                            tuple(surjectivity), recon or Verdict.passed(len(box)),
                            hom, kernel_check)
 
 
-def _check_projection_hom(A, kernels, targets, box, table, pair_cap) -> Verdict:
+def _check_projection_hom(A, kernels, targets, box, table, pair_cap, bound=None) -> Verdict:
     """Each projection preserves 0, 1, order, definedness and value of +,
     and both complements; table[k][i] is box[i] projected onto kernels[k].
 
     The sum checks share one seeded stream of index pairs: each kite sum is
     computed and projected once and checked on every component, and the
-    first failing (pair, component) in stream order is the witness.
+    first failing (pair, component) in stream order is the witness.  Given
+    the bound of a box of A over Z or Z^k, the stream runs over packed ints:
+    each component's elements packed at A's positions, where a projection
+    is a field mask, once a seeded sample of pairs has given the same
+    results through the kites and project_component.
     """
     checked = 0
     for k, target, row in zip(kernels, targets, table):
@@ -162,16 +177,67 @@ def _check_projection_hom(A, kernels, targets, box, table, pair_cap) -> Verdict:
                 return Verdict.failure(("minus", k.component, x), checked)
             if project_component(A, k, A.complement_tilde(x)) != target.complement_tilde(px):
                 return Verdict.failure(("tilde", k.component, x), checked)
-    for i, j in sweep(range(len(box)), 2, pair_cap, pair_cap, random.Random(0))[1]:
-        s = A.add(box[i], box[j])
+    if bound is None:
+        parts = [(k.component, target.add, row, partial(project_component, A, k))
+                 for k, target, row in zip(kernels, targets, table)]
+        return _sum_stream(A.add, box, parts, pair_cap, checked)
+
+    P = packed.Packing(A.G, A.sys.n, bound, A.sys.lam_inv, A.sys.rho_inv)
+    values = [packed_element(P, x) for x in box]
+    packings = [_at_parent_positions(A, k, target, bound) for k, target in zip(kernels, targets)]
+    parts = [(k.component, Pk.add, [pack(p) for p in row], P.restriction(k.preimage, k.component))
+             for k, row, (Pk, pack) in zip(kernels, table, packings)]
+    for i, j in packed.recheck_tuples(len(box), 2):
+        s, want = P.add(values[i], values[j]), A.add(box[i], box[j])
+        got, wanted = [s], [packed_element(P, want)]
+        for (_, add, pieces, restrict), (_, pack), k, target, row in zip(
+                parts, packings, kernels, targets, table):
+            got.append(add(pieces[i], pieces[j]))
+            wanted.append(pack(target.add(row[i], row[j])))
+            if s is not None and want is not None:
+                got.append(restrict(s))
+                wanted.append(pack(project_component(A, k, want)))
+        if got != wanted:
+            return kernel_disagreement((box[i], box[j]), checked)
+    return decoded(P, _sum_stream(P.add, values, parts, pair_cap, checked))
+
+
+def _at_parent_positions(A, kernel, target, bound):
+    """The packing of the component kite target with its elements at A's
+    positions (the identity elsewhere) and its own twists carried there, and
+    the map that packs one of its elements (None stays None)."""
+    n = A.sys.n
+    lam_src, rho_src = [None] * n, [None] * n
+    for q, i in enumerate(kernel.component):
+        lam_src[i] = kernel.preimage[target.sys.lam_inv[q]]
+        rho_src[i] = kernel.preimage[target.sys.rho_inv[q]]
+    Pk = packed.Packing(A.G, n, bound, lam_src, rho_src)
+
+    def pack(piece):
+        if piece is None:
+            return None
+        coords = [A.G.identity] * n
+        for i, c in zip(kernel.preimage if piece.tag == LOWER else kernel.component,
+                        piece.coords):
+            coords[i] = c
+        return Pk.pack(piece.tag != LOWER, coords)
+    return Pk, pack
+
+
+def _sum_stream(add, items, parts, pair_cap, checked) -> Verdict:
+    """The seeded pair stream of _check_projection_hom over items, with add;
+    parts holds, per component, its label, its sum, its items and the
+    projection onto it."""
+    for i, j in sweep(range(len(items)), 2, pair_cap, pair_cap, random.Random(0))[1]:
+        s = add(items[i], items[j])
         if s is None:
-            checked += len(kernels)
+            checked += len(parts)
             continue
-        for k, target, row in zip(kernels, targets, table):
+        for component, target_add, row, project in parts:
             checked += 1
-            t = target.add(row[i], row[j])
-            if t is None or project_component(A, k, s) != t:
-                return Verdict.failure(("sum", k.component, box[i], box[j]), checked)
+            t = target_add(row[i], row[j])
+            if t is None or project(s) != t:
+                return Verdict.failure(("sum", component, items[i], items[j]), checked)
     return Verdict.passed(checked)
 
 

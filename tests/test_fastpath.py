@@ -1,16 +1,26 @@
-"""Differential tests of the whole-tuple fast path against per-coordinate
-reference formulas written out here: kite sums, loop products, interval
-membership and the group tuple operations, on seeded random elements whose
-sums leave the enumeration box."""
+"""Differential tests of the fast paths.
+
+The whole-tuple operations are checked against per-coordinate reference
+formulas written out here: kite sums, loop products, interval membership
+and the group tuple operations, on seeded random elements whose sums leave
+the enumeration box.  The packed-integer kernel (kitealg.packed) is checked
+operation by operation against the object path, the three checkers that use
+it must return the same Verdict as on a subclass (which takes the object
+path), and a wrong twist in the kernel must surface as a FAIL.
+"""
 
 import random
 
 import pytest
 
+from kitealg import packed
 from kitealg.indexsys import IndexSystem, perm_inverse
-from kitealg.kite import LOWER, UPPER, KiteAlgebra, KiteElement
+from kitealg.kite import LOWER, UPPER, KiteAlgebra, KiteElement, check_pea_axioms
 from kitealg.pogroup import PoGroup, parse_group
-from kitealg.poloop import GammaInterval, LoopElement, PoLoop
+from kitealg.poloop import GammaInterval, LoopElement, PoLoop, embed_kite
+from kitealg.subdirect import subdirect_embedding_check
+
+from conftest import EX_3_8, EX_8_2, EX_8_5, system
 
 GROUPS = ["Z", "Z^2", "Z^3", "lex(Z,Z)", "prod(Z,Z)"]
 RADIUS = 2  # coordinates drawn from the box of this radius; sums reach twice it
@@ -147,3 +157,136 @@ def test_interval_contains(G):
         assert gamma.contains(p) == want, p
         outcomes.add(want)
     assert outcomes == {True, False}
+
+
+# -- the packed kernel ------------------------------------------------------------
+
+KERNEL_GROUPS = ["Z", "Z^1", "Z^2", "Z^3"]
+
+
+class ObjectPath(KiteAlgebra):
+    """A no-op subclass: the kernel serves KiteAlgebra itself only."""
+
+
+def _members(G, n, bound, rng, count):
+    """count Lower and count Upper kite elements with coordinates within
+    bound, extremes included, plus 0 and 1."""
+    k = 1 if G.name == "Z" else G.k
+
+    def scalar(sign):
+        return sign * rng.choice([0, bound, rng.randint(0, bound)])
+
+    def coord(sign):
+        values = [scalar(sign) for _ in range(k)]
+        return values[0] if G.name == "Z" else tuple(values)
+
+    out = [KiteElement(tag, tuple(coord(1 if tag == LOWER else -1) for _ in range(n)))
+           for tag in (LOWER, UPPER) for _ in range(count)]
+    e = G.identity
+    return out + [KiteElement(LOWER, (e,) * n), KiteElement(UPPER, (e,) * n)]
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 1000])
+@pytest.mark.parametrize("group", KERNEL_GROUPS)
+def test_packed_operations_match_objects(group, bound):
+    G = parse_group(group)
+    rng = random.Random(bound * 31 + len(group))
+    outcomes = set()
+    for _ in range(12):
+        sys_ = _random_system(rng)
+        A, W = KiteAlgebra(G, sys_), PoLoop(G, sys_)
+        gamma = GammaInterval(W)
+        K = packed.Packing(G, sys_.n, bound, sys_.lam_inv, sys_.rho_inv)
+        I = packed.Packing(G, sys_.n, bound, W.lam_pow(-1), W.rho_pow(-1))
+
+        def kite(r):
+            return r if r is None or type(r) is bool else K.pack(r.tag == UPPER, r.coords)
+
+        def interval(r):
+            return r if r is None or type(r) is bool else I.pack(r.m == 1, r.coords)
+
+        elements = _members(G, sys_.n, bound, rng, 8)
+        assert K.zero == kite(A.zero) and K.one == kite(A.one)
+        for x in elements:
+            upper, coords = K.decode(kite(x))
+            assert KiteElement(UPPER if upper else LOWER, coords) == x
+            assert K.complement_minus(kite(x)) == kite(A.complement_minus(x))
+            assert K.complement_tilde(kite(x)) == kite(A.complement_tilde(x))
+        for _ in range(150):
+            x, y, z = (rng.choice(elements) for _ in range(3))
+            px, py = LoopElement(0 if x.tag == LOWER else 1, x.coords), \
+                LoopElement(0 if y.tag == LOWER else 1, y.coords)
+            s = A.add(x, y)
+            outcomes.add((x.tag, y.tag, s is not None))
+            assert K.add(kite(x), kite(y)) == kite(s)
+            assert K.leq(kite(x), kite(y)) == A.leq(x, y)
+            assert K.diff_left(kite(x), kite(y)) == kite(A.diff_left(x, y))
+            assert K.diff_right(kite(x), kite(y)) == kite(A.diff_right(x, y))
+            assert I.add(interval(px), interval(py)) == interval(gamma.add(px, py))
+            assert I.leq(interval(px), interval(py)) == W.leq(px, py)
+            if s is None:
+                continue
+            # three-fold sums and differences of a sum stay inside the fields
+            for got, want in [(K.add(kite(s), kite(z)), A.add(s, z)),
+                              (K.add(kite(z), kite(s)), A.add(z, s)),
+                              (K.diff_left(kite(s), kite(y)), A.diff_left(s, y)),
+                              (K.diff_right(kite(x), kite(s)), A.diff_right(x, s)),
+                              (K.diff_left(kite(s), kite(x)), A.diff_left(s, x)),
+                              (K.diff_right(kite(y), kite(s)), A.diff_right(y, s))]:
+                assert got == kite(want)
+            t = W.mul(px, py)
+            if t.m <= 1 and W.leq(t, W.unit):
+                assert I.add(interval(px), interval(py)) == interval(t)
+    # every kind of sum occurred, defined and undefined
+    assert {(LOWER, UPPER, True), (LOWER, UPPER, False), (UPPER, LOWER, True),
+            (UPPER, LOWER, False), (LOWER, LOWER, True), (UPPER, UPPER, False)} \
+        <= outcomes or bound == 0
+
+
+@pytest.mark.parametrize("regime", [{}, {"triple_cap": 1_000, "pair_cap": 100, "draws": 500}],
+                         ids=["table", "drawn"])
+@pytest.mark.parametrize("group, lam_rho, bound", [
+    ("Z", EX_8_2, 1), ("Z", EX_8_5, 2), ("Z^2", EX_3_8, 1), ("Z^3", ([2, 3, 1], [1, 3, 2]), 1),
+])
+def test_axioms_verdict_matches_object_path(group, lam_rho, bound, regime):
+    from kitealg.cli import bounded_sample
+    G = parse_group(group)
+    A, R = KiteAlgebra(G, system(*lam_rho)), ObjectPath(G, system(*lam_rho))
+    sample = bounded_sample(A.enumerate_box(bound), 40, 3, keep=(A.zero, A.one))
+    v = check_pea_axioms(A, sample, seed=3, **regime)
+    assert v.ok and v == check_pea_axioms(R, sample, seed=3, **regime)
+
+
+@pytest.mark.parametrize("group, lam_rho, bound", [
+    ("Z", EX_8_2, 1), ("Z", EX_8_5, 0), ("Z^2", ([2, 3, 1], [3, 1, 2]), 1),
+    # 1,458 elements: 40,000 drawn pairs
+    ("Z^2", ([2, 3, 1], [3, 1, 2]), 2),
+])
+def test_embed_verdict_matches_object_path(group, lam_rho, bound):
+    G = parse_group(group)
+    v = embed_kite(KiteAlgebra(G, system(*lam_rho)), bound)
+    assert v.ok and v == embed_kite(ObjectPath(G, system(*lam_rho)), bound)
+
+
+@pytest.mark.parametrize("group, lam_rho, bound, pair_cap", [
+    ("Z", EX_8_2, 1, 200_000), ("Z", EX_3_8, 2, 200_000),
+    ("Z^2", EX_3_8, 1, 3_000), ("Z^3", ([1, 2], [2, 1]), 1, 1_000),
+])
+def test_subdirect_report_matches_object_path(group, lam_rho, bound, pair_cap):
+    G = parse_group(group)
+    got = subdirect_embedding_check(KiteAlgebra(G, system(*lam_rho)), bound, pair_cap)
+    want = subdirect_embedding_check(ObjectPath(G, system(*lam_rho)), bound, pair_cap)
+    assert got.verdict.ok and got == want
+
+
+def test_wrong_twist_fails_every_checker(monkeypatch):
+    # the kernel's twisted segments left untwisted: its mixed sums go wrong
+    # while the object path is sound, and only the re-check can tell
+    monkeypatch.setattr(packed, "twist", lambda segment, src, width, zero: segment)
+    A = KiteAlgebra(parse_group("Z^2"), system(*EX_8_2))
+    sample = list(A.enumerate_box(1))
+    verdicts = [check_pea_axioms(A, sample), embed_kite(A, 1),
+                subdirect_embedding_check(A, 1).hom_preservation]
+    for v in verdicts:
+        assert v.failed and v.witnesses[0][0] == "kernel-disagreement"
+        assert all(isinstance(w, KiteElement) for w in v.witnesses[0][1:])

@@ -3,6 +3,7 @@ block-constant subgroups."""
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -155,6 +156,22 @@ class TestAssociativity:
     def test_criteria_never_disagree(self, name, lam, rho):
         v = is_associative(PoLoop(Z, system(lam, rho)), bound=1)
         assert "disagree" not in (v.detail or "")
+
+    def test_large_box_is_streamed(self, ex82):
+        # 5 levels of 25**4 tuples: the shell search stops at its first
+        # witness without building the box
+        W = PoLoop(VectorGroup(2), ex82)
+        assert len(W.enumerate_box(2)) == 1_953_125
+        tracemalloc.start()
+        try:
+            v = is_associative(W, bound=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        assert v.failed and v.checked == 127
+        middle = LoopElement(-2, ((-2, -2), (-2, -2), (-2, -1), (-2, -2)))
+        assert v.witnesses == ((W.u_power(-2), middle, W.u_power(-1)),)
 
 
 class TestStrongUnit:
