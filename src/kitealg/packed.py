@@ -15,9 +15,10 @@ bits adding up to 2.  Order and differences are a subtraction and a mask.
 
 A `Packing` offers the operations the axiom, embedding and subdirect
 checkers call on a kite (`add`, `leq`, both differences and complements,
-`one`, `zero`), over these ints.  The same class packs the interval
-Gamma(W, u) of the po-loop, with the loop's twists: its sum is the loop
-product at levels 0 and 1, defined when it lies below u.
+`one`, `zero`), over these ints.  The same ints serve the interval
+Gamma(W, u) of the po-loop, a Lower element at level 0 and an Upper one at
+level 1: `product` is the loop product of two of them, spelled from the
+loop's rule on levels rather than the kite's on tags.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import itertools
 import operator
 import random
 
+from kitealg.indexsys import perm_inverse
 from kitealg.pogroup import IntegerGroup, VectorGroup
 from kitealg.verdict import sweep
 
@@ -54,27 +56,18 @@ def coordinate_bound(G, coord_tuples) -> int:
                 for s in (cs if flat else itertools.chain.from_iterable(cs))), default=0)
 
 
-def twist(segment: int, src, width: int, zero: int) -> int:
-    """The segment whose block i (width bits) is block src[i] of segment, or
-    the zero block where src[i] is None."""
+def twist(segment: int, src, width: int) -> int:
+    """The segment whose block i (width bits) is block src[i] of segment."""
     mask = (1 << width) - 1
     out = 0
     for i, j in enumerate(src):
-        out |= (zero if j is None else segment >> j * width & mask) << i * width
+        out |= (segment >> j * width & mask) << i * width
     return out
 
 
 def recheck_tuples(size: int, arity: int):
     """The index tuples a kernel sweep re-runs through the object path."""
     return sweep(range(size), arity, RECHECK, RECHECK, random.Random(RECHECK_SEED))[1]
-
-
-def _inverse(src):
-    fwd = [None] * len(src)
-    for i, j in enumerate(src):
-        if j is not None:
-            fwd[j] = i
-    return fwd
 
 
 class Packing:
@@ -84,11 +77,11 @@ class Packing:
     coordinates positive, Upper ones negative), for which the object path's
     re-addition of a difference always holds.
 
-    lam_src[i] and rho_src[i] name the coordinate that the lam_inv- and
-    rho_inv-twisted segments carry at position i; None leaves the identity
-    there, which lets a component's elements sit at the parent's positions.
-    The operations are closures over the layout's constants, so a sweep
-    calls them without attribute lookups.
+    The permutations lam_src and rho_src name the coordinate that the
+    lam_inv- and rho_inv-twisted segments carry at each position.  `add`
+    reads them as the kite's twists, `product` as the loop's lam^-1 and
+    rho^-1.  The operations are closures over the layout's constants, so a
+    sweep calls them without attribute lookups.
     """
 
     def __init__(self, G, n: int, bound: int, lam_src, rho_src):
@@ -100,8 +93,7 @@ class Packing:
         self.shifts = [w * f for f in range(fields)]
         ones = sum(1 << s for s in self.shifts)
         BIAS, HI, NEG = B * ones, 2 * B * ones, (B - 1) * ones
-        self.block = k * w
-        self.zero_block = B * sum(1 << (w * t) for t in range(k))
+        self.block = block = k * w
         self.TAG = TAG = 1 << (fields * w)
         TAG2 = 2 * TAG
         self.S = S = fields * w + 2
@@ -111,9 +103,8 @@ class Packing:
         BIAS3, HI3 = BIAS * REP, HI * REP
         self.BIAS, self.REP = BIAS, REP
         self.lam_src, self.rho_src = list(lam_src), list(rho_src)
-        lam_fwd, rho_fwd = _inverse(self.lam_src), _inverse(self.rho_src)
+        lam_fwd, rho_fwd = perm_inverse(self.lam_src), perm_inverse(self.rho_src)
         lower = self.lower
-        gather = self.twist
 
         def add(x, y):
             if y & TAG:  # Lower + Upper: x's lam_inv segment; Upper + Upper has tag 2
@@ -123,6 +114,17 @@ class Packing:
                 s = (x & SEG) + (y >> S2) - BIAS
                 return None if (s + NEG) & HI else s * REP
             return x + y - BIAS3
+
+        def product(p, q):
+            """The loop product p*q: p twisted by lam^-(level of q), q by
+            rho^-(level of p), at the sum of the levels; None unless below u."""
+            level = (p & TAG) + (q & TAG)  # TAG times the level
+            if level == TAG2:
+                return None
+            if not level:  # no twist, and every segment is a sum
+                return p + q - BIAS3
+            s = (p >> S & SEG if q & TAG else p & SEG) + (q >> S2 if p & TAG else q & SEG) - BIAS
+            return None if (s + NEG) & HI else s * REP
 
         def leq(x, y):
             if (x ^ y) & TAG:
@@ -138,7 +140,7 @@ class Packing:
                 if not b & TAG:
                     return None
                 li = (b & SEG) - (a & SEG) + BIAS  # d's lam_inv segment
-                return lower(gather(li, lam_fwd)) if positive(li) else None
+                return lower(twist(li, lam_fwd, block)) if positive(li) else None
             if b & TAG:
                 p = (b & SEG) - (a >> S2) + BIAS
                 return None if (p + NEG) & HI else p * REP
@@ -151,7 +153,7 @@ class Packing:
                 if not b & TAG:
                     return None
                 ri = (b & SEG) - (a & SEG) + BIAS  # c's rho_inv segment
-                return lower(gather(ri, rho_fwd)) if positive(ri) else None
+                return lower(twist(ri, rho_fwd, block)) if positive(ri) else None
             if b & TAG:
                 p = (b & SEG) - (a >> S & SEG) + BIAS
                 return None if (p + NEG) & HI else p * REP
@@ -161,28 +163,25 @@ class Packing:
         def complement_minus(x):
             """minus(x) + x = 1."""
             if x & TAG:
-                return lower(gather(TAG + HI - (x & SEG), lam_fwd))
+                return lower(twist(TAG + HI - (x & SEG), lam_fwd, block))
             return (TAG + HI - (x >> S2)) * REP
 
         def complement_tilde(x):
             """x + tilde(x) = 1."""
             if x & TAG:
-                return lower(gather(TAG + HI - (x & SEG), rho_fwd))
+                return lower(twist(TAG + HI - (x & SEG), rho_fwd, block))
             return (TAG + HI - (x >> S & SEG)) * REP
 
-        self.add, self.leq = add, leq
+        self.add, self.product, self.leq = add, product, leq
         self.diff_left, self.diff_right = diff_left, diff_right
         self.complement_minus, self.complement_tilde = complement_minus, complement_tilde
         self.zero = lower(BIAS)
         self.one = (TAG + BIAS) * REP
 
-    def twist(self, segment: int, src) -> int:
-        return twist(segment, src, self.block, self.zero_block)
-
     def lower(self, plain: int) -> int:
         """The Lower element with this plain segment."""
-        return (plain | self.twist(plain, self.lam_src) << self.S
-                | self.twist(plain, self.rho_src) << 2 * self.S)
+        return (plain | twist(plain, self.lam_src, self.block) << self.S
+                | twist(plain, self.rho_src, self.block) << 2 * self.S)
 
     def pack(self, upper: bool, coords) -> int:
         """The element with these n coordinates, Upper (level 1) or Lower."""

@@ -165,7 +165,11 @@ def is_associative(W: PoLoop, bound: int = 2, seed: int = 0,
     witness = None
     checked = 0
 
-    exhaustive, triples = sweep(box, 3, triple_cap, draws, random.Random(seed))
+    exhaustive, positions = sweep(range(len(box)), 3, triple_cap, draws, random.Random(seed))
+    # a box no larger than the picks is decoded once, in full; a larger one
+    # per pick, since a memo of every pick would raise the peak memory
+    elements = list(box) if len(box) <= 3 * draws else box
+    triples = (tuple(map(elements.__getitem__, t)) for t in positions)
     if not exhaustive:
         # streamed: itertools.product would copy the box into a tuple
         shells = [W.u_power(m) for m in range(-bound, bound + 1)]
@@ -278,10 +282,10 @@ def embed_kite(A: KiteAlgebra, bound: int = 2) -> Verdict:
     definedness and value of + on the box pairs: all of them up to 600,000,
     else 40,000 seeded draws.
 
-    A KiteAlgebra over Z or Z^k sweeps the pairs over both boxes packed into
-    ints (kitealg.packed), the interval's with the loop's own twists, once a
-    seeded sample of pairs has given the same results through the kite, the
-    loop and the interval."""
+    A KiteAlgebra over Z or Z^k sweeps its box packed into ints
+    (kitealg.packed), where an element is its own image: the kite sum against
+    the loop product rule, with one order test for both, once a seeded sample
+    of pairs has tied the three to the kite, the loop and the interval."""
     W = PoLoop(A.G, A.sys)
     gamma = GammaInterval(W)
     kite_box = list(A.enumerate_box(bound))
@@ -302,27 +306,22 @@ def embed_kite(A: KiteAlgebra, bound: int = 2) -> Verdict:
     if type(A) is not KiteAlgebra or not packed.supports(A.G):
         return _embed_pairs(A, W.leq, gamma.add, embed_kite_element, kite_box, images, checked)
     K = packed.Packing(A.G, A.sys.n, bound, A.sys.lam_inv, A.sys.rho_inv)
-    I = packed.Packing(A.G, A.sys.n, bound, W.lam_pow(-1), W.rho_pow(-1))
-
-    def packed_point(p):
-        return None if p is None else I.pack(p.m == 1, p.coords)
-
     xs = [packed_element(K, x) for x in kite_box]
-    ps = [packed_point(p) for p in images]
     for i, j in packed.recheck_tuples(len(xs), 2):
         x, y, p, q = kite_box[i], kite_box[j], images[i], images[j]
-        want = [A.leq(x, y), packed_element(K, A.add(x, y)),
-                W.leq(p, q), packed_point(gamma.add(p, q))]
-        if [K.leq(xs[i], xs[j]), K.add(xs[i], xs[j]), I.leq(ps[i], ps[j]),
-                I.add(ps[i], ps[j])] != want:
+        t = gamma.add(p, q)
+        want = [A.leq(x, y), W.leq(p, q), packed_element(K, A.add(x, y)),
+                None if t is None else K.pack(t.m == 1, t.coords)]
+        leq = K.leq(xs[i], xs[j])
+        if [leq, leq, K.add(xs[i], xs[j]), K.product(xs[i], xs[j])] != want:
             return kernel_disagreement((x, y), checked)
-    return decoded(K, _embed_pairs(K, I.leq, I.add, None, xs, ps, checked))
+    return decoded(K, _embed_pairs(K, K.leq, K.product, lambda s: s, xs, xs, checked))
 
 
 def _embed_pairs(K, interval_leq, interval_add, phi, xs, ps, checked) -> Verdict:
     """The pair sweep of embed_kite: K's order and sum on the kite items xs
     against the interval's on their images ps, phi mapping a kite sum to its
-    image (None: the items are packed, and a sum's image is itself)."""
+    image."""
     draws = 40_000
     exhaustive, pairs = sweep(range(len(xs)), 2, 600_000, draws, random.Random(0))
     kite_leq, kite_add = K.leq, K.add
@@ -335,7 +334,7 @@ def _embed_pairs(K, interval_leq, interval_add, phi, xs, ps, checked) -> Verdict
         t = interval_add(px, py)
         if (s is None) != (t is None):
             return Verdict.failure(("definedness", x, y), checked)
-        if s is not None and (s if phi is None else phi(s)) != t:
+        if s is not None and phi(s) != t:
             return Verdict.failure(("value", x, y), checked)
     return Verdict.passed(checked, detail="" if exhaustive else f"{draws} sampled pairs")
 

@@ -144,26 +144,24 @@ def subdirect_embedding_check(A: KiteAlgebra, bound: int = 2,
             f"component {[i + 1 for i in k.component]} projection misses box elements")
             if missing else Verdict.passed(len(want)))
 
-    packable = type(A) is KiteAlgebra and packed.supports(A.G)
-    hom = _check_projection_hom(A, kernels, targets, box, table, pair_cap,
-                                bound if packable else None)
+    hom = _check_projection_hom(A, kernels, targets, box, table, pair_cap, bound)
     kernel_check = check_kernel_projects_to_zero(A, kernels, targets, box, table)
     return SubdirectReport(kernels, injectivity or Verdict.passed(len(box)),
                            tuple(surjectivity), recon or Verdict.passed(len(box)),
                            hom, kernel_check)
 
 
-def _check_projection_hom(A, kernels, targets, box, table, pair_cap, bound=None) -> Verdict:
+def _check_projection_hom(A, kernels, targets, box, table, pair_cap, bound) -> Verdict:
     """Each projection preserves 0, 1, order, definedness and value of +,
     and both complements; table[k][i] is box[i] projected onto kernels[k].
 
     The sum checks share one seeded stream of index pairs: each kite sum is
     computed and projected once and checked on every component, and the
-    first failing (pair, component) in stream order is the witness.  Given
-    the bound of a box of A over Z or Z^k, the stream runs over packed ints:
-    each component's elements packed at A's positions, where a projection
-    is a field mask, once a seeded sample of pairs has given the same
-    results through the kites and project_component.
+    first failing (pair, component) in stream order is the witness.  For a
+    KiteAlgebra over Z or Z^k, box at this bound, the stream runs over packed
+    ints: A's sum, masked to each component's fields, against that
+    component's own sum on its elements packed at A's positions, once a
+    seeded sample of pairs has agreed with the kites and project_component.
     """
     checked = 0
     for k, target, row in zip(kernels, targets, table):
@@ -177,7 +175,7 @@ def _check_projection_hom(A, kernels, targets, box, table, pair_cap, bound=None)
                 return Verdict.failure(("minus", k.component, x), checked)
             if project_component(A, k, A.complement_tilde(x)) != target.complement_tilde(px):
                 return Verdict.failure(("tilde", k.component, x), checked)
-    if bound is None:
+    if type(A) is not KiteAlgebra or not packed.supports(A.G):
         parts = [(k.component, target.add, row, partial(project_component, A, k))
                  for k, target, row in zip(kernels, targets, table)]
         return _sum_stream(A.add, box, parts, pair_cap, checked)
@@ -205,9 +203,10 @@ def _check_projection_hom(A, kernels, targets, box, table, pair_cap, bound=None)
 def _at_parent_positions(A, kernel, target, bound):
     """The packing of the component kite target with its elements at A's
     positions (the identity elsewhere) and its own twists carried there, and
-    the map that packs one of its elements (None stays None)."""
+    the map that packs one of its elements (None stays None).  Elsewhere the
+    packing keeps A's twists, which move only identity fields there."""
     n = A.sys.n
-    lam_src, rho_src = [None] * n, [None] * n
+    lam_src, rho_src = list(A.sys.lam_inv), list(A.sys.rho_inv)
     for q, i in enumerate(kernel.component):
         lam_src[i] = kernel.preimage[target.sys.lam_inv[q]]
         rho_src[i] = kernel.preimage[target.sys.rho_inv[q]]

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from kitealg.indexsys import IndexSystem, derived_sigma, perm_inverse, perm_order
+from kitealg.kite import KiteAlgebra
 from kitealg.verdict import Verdict, sweep
 
 # the four built-in example systems (1-based images, n = 4)
@@ -33,6 +34,10 @@ TEN_SYSTEMS = [
 
 def system(lam, rho) -> IndexSystem:
     return IndexSystem.from_one_based(lam, rho)
+
+
+class ObjectPath(KiteAlgebra):
+    """A no-op subclass: the packed kernel serves KiteAlgebra itself only."""
 
 
 @pytest.fixture

@@ -6,7 +6,8 @@ and the group tuple operations, on seeded random elements whose sums leave
 the enumeration box.  The packed-integer kernel (kitealg.packed) is checked
 operation by operation against the object path, the three checkers that use
 it must return the same Verdict as on a subclass (which takes the object
-path), and a wrong twist in the kernel must surface as a FAIL.
+path), and a wrong twist in the kernel must surface as a FAIL; embed's sweep
+must find a wrong kite sum without the re-check.
 """
 
 import random
@@ -20,7 +21,7 @@ from kitealg.pogroup import PoGroup, parse_group
 from kitealg.poloop import GammaInterval, LoopElement, PoLoop, embed_kite
 from kitealg.subdirect import subdirect_embedding_check
 
-from conftest import EX_3_8, EX_8_2, EX_8_5, system
+from conftest import EX_3_8, EX_8_2, EX_8_5, ObjectPath, system
 
 GROUPS = ["Z", "Z^2", "Z^3", "lex(Z,Z)", "prod(Z,Z)"]
 RADIUS = 2  # coordinates drawn from the box of this radius; sums reach twice it
@@ -164,10 +165,6 @@ def test_interval_contains(G):
 KERNEL_GROUPS = ["Z", "Z^1", "Z^2", "Z^3"]
 
 
-class ObjectPath(KiteAlgebra):
-    """A no-op subclass: the kernel serves KiteAlgebra itself only."""
-
-
 def _members(G, n, bound, rng, count):
     """count Lower and count Upper kite elements with coordinates within
     bound, extremes included, plus 0 and 1."""
@@ -197,13 +194,13 @@ def test_packed_operations_match_objects(group, bound):
         A, W = KiteAlgebra(G, sys_), PoLoop(G, sys_)
         gamma = GammaInterval(W)
         K = packed.Packing(G, sys_.n, bound, sys_.lam_inv, sys_.rho_inv)
-        I = packed.Packing(G, sys_.n, bound, W.lam_pow(-1), W.rho_pow(-1))
 
         def kite(r):
             return r if r is None or type(r) is bool else K.pack(r.tag == UPPER, r.coords)
 
         def interval(r):
-            return r if r is None or type(r) is bool else I.pack(r.m == 1, r.coords)
+            """An interval element packed as the kite element it images."""
+            return r if r is None else K.pack(r.m == 1, r.coords)
 
         elements = _members(G, sys_.n, bound, rng, 8)
         assert K.zero == kite(A.zero) and K.one == kite(A.one)
@@ -222,8 +219,8 @@ def test_packed_operations_match_objects(group, bound):
             assert K.leq(kite(x), kite(y)) == A.leq(x, y)
             assert K.diff_left(kite(x), kite(y)) == kite(A.diff_left(x, y))
             assert K.diff_right(kite(x), kite(y)) == kite(A.diff_right(x, y))
-            assert I.add(interval(px), interval(py)) == interval(gamma.add(px, py))
-            assert I.leq(interval(px), interval(py)) == W.leq(px, py)
+            assert K.product(kite(x), kite(y)) == interval(gamma.add(px, py))
+            assert K.leq(kite(x), kite(y)) == W.leq(px, py)
             if s is None:
                 continue
             # three-fold sums and differences of a sum stay inside the fields
@@ -236,7 +233,7 @@ def test_packed_operations_match_objects(group, bound):
                 assert got == kite(want)
             t = W.mul(px, py)
             if t.m <= 1 and W.leq(t, W.unit):
-                assert I.add(interval(px), interval(py)) == interval(t)
+                assert K.product(kite(x), kite(y)) == interval(t)
     # every kind of sum occurred, defined and undefined
     assert {(LOWER, UPPER, True), (LOWER, UPPER, False), (UPPER, LOWER, True),
             (UPPER, LOWER, False), (LOWER, LOWER, True), (UPPER, UPPER, False)} \
@@ -282,7 +279,7 @@ def test_subdirect_report_matches_object_path(group, lam_rho, bound, pair_cap):
 def test_wrong_twist_fails_every_checker(monkeypatch):
     # the kernel's twisted segments left untwisted: its mixed sums go wrong
     # while the object path is sound, and only the re-check can tell
-    monkeypatch.setattr(packed, "twist", lambda segment, src, width, zero: segment)
+    monkeypatch.setattr(packed, "twist", lambda segment, src, width: segment)
     A = KiteAlgebra(parse_group("Z^2"), system(*EX_8_2))
     sample = list(A.enumerate_box(1))
     verdicts = [check_pea_axioms(A, sample), embed_kite(A, 1),
@@ -290,3 +287,26 @@ def test_wrong_twist_fails_every_checker(monkeypatch):
     for v in verdicts:
         assert v.failed and v.witnesses[0][0] == "kernel-disagreement"
         assert all(isinstance(w, KiteElement) for w in v.witnesses[0][1:])
+
+
+def test_embed_sweep_catches_a_wrong_kite_sum_unaided(monkeypatch):
+    # the kernel's Lower + Upper sum reads the rho_inv-twisted segment where
+    # the lam_inv one belongs; with no re-check, the sweep's comparison with
+    # the loop product rule must find it
+    class WrongLowerUpper(packed.Packing):
+        def __init__(self, *args):
+            super().__init__(*args)
+            add, S, TAG = self.add, self.S, self.TAG
+            plain = (1 << S) - 1
+
+            def wrong(x, y):
+                if y & TAG and not x & TAG:
+                    x = x & plain | x >> 2 * S << S
+                return add(x, y)
+            self.add = wrong
+
+    monkeypatch.setattr(packed, "RECHECK", 0)
+    monkeypatch.setattr(packed, "Packing", WrongLowerUpper)
+    v = embed_kite(KiteAlgebra(parse_group("Z^2"), system(*EX_3_8)), 1)
+    assert v.failed and v.witnesses[0][0] in ("value", "definedness")
+    assert all(isinstance(w, KiteElement) for w in v.witnesses[0][1:])

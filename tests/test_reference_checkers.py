@@ -19,7 +19,7 @@ from kitealg.kite import KiteAlgebra, KiteElement, LOWER, UPPER, check_pea_axiom
 from kitealg.pogroup import IntegerGroup, VectorGroup, parse_group
 from kitealg.verdict import Verdict, sweep
 
-from conftest import EX_3_8, EX_8_2, EX_8_5, system
+from conftest import EX_3_8, EX_8_2, EX_8_5, ObjectPath, system
 
 Z = IntegerGroup()
 
@@ -201,7 +201,7 @@ def test_under_cap_rdp_streams_every_quadruple(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_subdirect_first_witness_is_first_failing_pair_and_component(monkeypatch):
-    A = KiteAlgebra(Z, system(*EX_3_8))
+    A = ObjectPath(Z, system(*EX_3_8))
     kernels = tuple(subdirect.component_kernel(A.sys, c)
                     for c in subdirect.components(A.sys))
     assert len(kernels) == 2
@@ -219,7 +219,7 @@ def test_subdirect_first_witness_is_first_failing_pair_and_component(monkeypatch
     monkeypatch.setattr(subdirect, "project_component", broken)
     targets = [subdirect.component_algebra(A, k) for k in kernels]
     table = [[broken(A, k, x) for x in box] for k in kernels]
-    v = subdirect._check_projection_hom(A, kernels, targets, box, table, pair_cap=200_000)
+    v = subdirect._check_projection_hom(A, kernels, targets, box, table, pair_cap=200_000, bound=1)
 
     checked = len(kernels) * len(box)
     for x, y in itertools.product(box, repeat=2):
@@ -237,11 +237,11 @@ def test_subdirect_first_witness_is_first_failing_pair_and_component(monkeypatch
 
 
 def test_subdirect_pair_stream_over_cap_passes():
-    A = KiteAlgebra(VectorGroup(2), system(*EX_3_8))
+    A = ObjectPath(VectorGroup(2), system(*EX_3_8))
     box = A.enumerate_box(1)
     kernels = tuple(subdirect.component_kernel(A.sys, c)
                     for c in subdirect.components(A.sys))
     targets = [subdirect.component_algebra(A, k) for k in kernels]
     table = [[subdirect.project_component(A, k, x) for x in box] for k in kernels]
-    v = subdirect._check_projection_hom(A, kernels, targets, box, table, pair_cap=1_000)
+    v = subdirect._check_projection_hom(A, kernels, targets, box, table, pair_cap=1_000, bound=1)
     assert v.ok and v.checked == len(kernels) * (len(box) + 1_000)
