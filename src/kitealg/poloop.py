@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 from kitealg import packed
@@ -54,21 +54,12 @@ class PoLoop:
         self.name = f"W({G.name}, n={sys.n})"
         self.neutral = LoopElement(0, (G.identity,) * sys.n)
         self.unit = LoopElement(1, (G.identity,) * sys.n)
-        self._lam_pows: dict[int, tuple] = {}
-        self._rho_pows: dict[int, tuple] = {}
+        # lam^k and rho^k by k, each computed once
+        self.lam_pow = cache(partial(perm_power, sys.lam))
+        self.rho_pow = cache(partial(perm_power, sys.rho))
 
     def __repr__(self):
         return self.name
-
-    def lam_pow(self, k: int):
-        if k not in self._lam_pows:
-            self._lam_pows[k] = perm_power(self.sys.lam, k)
-        return self._lam_pows[k]
-
-    def rho_pow(self, k: int):
-        if k not in self._rho_pows:
-            self._rho_pows[k] = perm_power(self.sys.rho, k)
-        return self._rho_pows[k]
 
     def _check(self, p: LoopElement):
         if len(p.coords) != self.sys.n:
@@ -150,46 +141,70 @@ def inverse_formula_readings(W: PoLoop, p: LoopElement) -> dict[str, bool]:
     }
 
 
-def is_associative(W: PoLoop, bound: int = 2, seed: int = 0,
-                   triple_cap: int = 400_000, draws: int = 5_000) -> Verdict:
-    """Associativity of the twisted product: the permutation criterion and an
-    empirical triple search, which must agree.
+class _Words(PoGroup):
+    """The free monoid: words are tuples of letters, op concatenates them."""
 
-    When the full box is too large for exhaustive triples, the search runs
-    over the covering sub-box {(m1, e)} x box x {(m3, e)}: the two sides of
-    the associativity law can only differ through the middle factor's index
-    twist, so any defect in the full box shows up there.
-    """
+    identity = ()
+
+    def op(self, a, b):
+        return a + b
+
+
+def _generic_defect(sys: IndexSystem, owner):
+    """(level triples tried, defect) of PoLoop.mul run on generic elements:
+    coordinate j of factor k is the one-letter word ((k, owner[j]),).  Both
+    sides of the law are words p[.] q[.] r[.]; their q letters differ where
+    lam^c and rho^a (c, a the levels of r and p) do not commute on the
+    classes of owner, which the twists permute, so levels in {-1, 0, 1}
+    decide every level.  The defect is None, or the first failing levels, a
+    coordinate i and a letter (k, s) of (pq)r[i] that p(qr)[i] lacks."""
+    F = PoLoop(_Words(), sys)
+    for tried, levels in enumerate(itertools.product((-1, 0, 1), repeat=3), 1):
+        p, q, r = (LoopElement(m, tuple(((k, c),) for c in owner)) for k, m in enumerate(levels))
+        for i, (u, v) in enumerate(zip(F.mul(F.mul(p, q), r).coords, F.mul(p, F.mul(q, r)).coords)):
+            if u != v:
+                return tried, (levels, i, next(s for s in u if s not in v))
+    return tried, None
+
+
+def is_associative(W: PoLoop, bound: int = 2) -> Verdict:
+    """Associativity: the permutation criterion and the real product on
+    generic elements (_generic_defect) must agree, and so must concrete
+    triples: the packed re-check's box triples when associative, else the
+    witness, the failing levels with one nonzero box element at the letter.
+    The bound-0 box holds only the neutral element: the levels stand in."""
     algebraic = W.twists_commute()
-    box = W.enumerate_box(bound)
-    witness = None
-    checked = 0
-
-    exhaustive, positions = sweep(range(len(box)), 3, triple_cap, draws, random.Random(seed))
-    # a box no larger than the picks is decoded once, in full; a larger one
-    # per pick, since a memo of every pick would raise the peak memory
-    elements = list(box) if len(box) <= 3 * draws else box
-    triples = (tuple(map(elements.__getitem__, t)) for t in positions)
-    if not exhaustive:
-        # streamed: itertools.product would copy the box into a tuple
-        shells = [W.u_power(m) for m in range(-bound, bound + 1)]
-        triples = itertools.chain(((p, q, r) for p in shells for q in box for r in shells),
-                                  triples)
+    checked, defect = _generic_defect(W.sys, range(W.sys.n))
+    if algebraic != (defect is None):
+        return Verdict.failure(("criterion-disagreement", algebraic, defect), checked,
+                               "permutation test and generic product disagree: implementation bug")
+    if algebraic:
+        box = W.enumerate_box(bound)
+        triples = (map(box.__getitem__, t) for t in packed.recheck_tuples(len(box), 3))
+    elif bound < 1:
+        return Verdict.failure(("levels", *defect[:2]), checked,
+                               f"non-associative at levels {defect[0]}, coordinate {defect[1]}: "
+                               "the bound-0 box holds no concrete witness")
+    else:
+        levels, _, letter = defect
+        g, e = next(x for x in W.G.enumerate_box(bound) if x != W.G.identity), W.G.identity
+        triples = [[LoopElement(m, tuple(g if (k, c) == letter else e for c in range(W.sys.n)))
+                    for k, m in enumerate(levels)]]
     for p, q, r in triples:
         checked += 1
-        if W.mul(W.mul(p, q), r) != W.mul(p, W.mul(q, r)):
-            witness = (p, q, r)
-            break
-
-    empirical = witness is None
-    if algebraic != empirical:
-        return Verdict.failure(
-            ("criterion-disagreement", algebraic, witness), checked,
-            "permutation test and triple search disagree: implementation bug")
+        if (W.mul(W.mul(p, q), r) == W.mul(p, W.mul(q, r))) != algebraic:
+            return Verdict.failure(("criterion-disagreement", algebraic, (p, q, r)), checked,
+                                   "a box triple contradicts both criteria: implementation bug")
     if algebraic:
         return Verdict.passed(checked, detail="associative: twists commute")
-    return Verdict("FAIL", checked=checked, witnesses=(witness,),
+    return Verdict("FAIL", checked=checked, witnesses=((p, q, r),),
                    detail="non-associative: witness triple found")
+
+
+def criteria_disagree(v: Verdict) -> bool:
+    """Whether an is_associative verdict is a disagreement of its criteria,
+    rather than the observation that the loop is non-associative."""
+    return v.failed and v.witnesses[0][0] == "criterion-disagreement"
 
 
 def strong_unit_check(W: PoLoop, sample: list[LoopElement], nmax: int) -> Verdict:
@@ -284,8 +299,9 @@ def embed_kite(A: KiteAlgebra, bound: int = 2) -> Verdict:
 
     A KiteAlgebra over Z or Z^k sweeps its box packed into ints
     (kitealg.packed), where an element is its own image: the kite sum against
-    the loop product rule, with one order test for both, once a seeded sample
-    of pairs has tied the three to the kite, the loop and the interval."""
+    the loop product rule, and the packed order against the existence of a
+    packed difference, once a seeded sample of pairs has tied them to the
+    kite, the loop and the interval."""
     W = PoLoop(A.G, A.sys)
     gamma = GammaInterval(W)
     kite_box = list(A.enumerate_box(bound))
@@ -315,7 +331,11 @@ def embed_kite(A: KiteAlgebra, bound: int = 2) -> Verdict:
         leq = K.leq(xs[i], xs[j])
         if [leq, leq, K.add(xs[i], xs[j]), K.product(xs[i], xs[j])] != want:
             return kernel_disagreement((x, y), checked)
-    return decoded(K, _embed_pairs(K, K.leq, K.product, lambda s: s, xs, xs, checked))
+    def interval_leq(p, q):
+        """p <= q read from the kite's own difference, not from the order on
+        levels, then fields, that K.leq spells."""
+        return K.diff_left(q, p) is not None
+    return decoded(K, _embed_pairs(K, interval_leq, K.product, lambda s: s, xs, xs, checked))
 
 
 def _embed_pairs(K, interval_leq, interval_add, phi, xs, ps, checked) -> Verdict:
@@ -349,38 +369,39 @@ class BlockSubgroup:
     blocks: tuple
 
     def contains(self, p: LoopElement) -> bool:
-        return all(
-            len({p.coords[i] for i in block}) == 1 for block in self.blocks
-        )
+        return all(len({p.coords[i] for i in block}) == 1 for block in self.blocks)
+
+    def owner(self) -> list[int]:
+        """The block of each coordinate."""
+        return [k for i in range(self.parent.sys.n) for k, b in enumerate(self.blocks) if i in b]
 
     def enumerate_box(self, bound: int) -> Box:
         """Block-constant elements with box coordinates: levels -bound..bound,
         each over one group element per block."""
-        W = self.parent
+        W, owner = self.parent, self.owner()
         gbox = W.G.enumerate_box(bound)
-        owner = [k for i in range(W.sys.n) for k, b in enumerate(self.blocks) if i in b]
         return Box((lambda choice, m=m: LoopElement(m, tuple(map(choice.__getitem__, owner))),
                     gbox, len(self.blocks)) for m in range(-bound, bound + 1))
 
 
-def block_subgroup(W: PoLoop, blocks, bound: int = 2, triple_samples: int = 1000,
+def block_subgroup(W: PoLoop, blocks, bound: int = 2,
                    seed: int = 0) -> tuple[BlockSubgroup, Verdict]:
     """Build the block-constant subgroup and verify: closure under the product
-    and inverses on the box, associativity on sampled triples, membership of
-    the strong unit, and closure of the interval part under partial addition."""
+    and inverses on the box, associativity on generic block-constant elements
+    (one letter per block), membership of the strong unit, and closure of the
+    interval part under partial addition."""
     blocks = normalize_partition(blocks, W.sys.n)
     dec = validate_decomposition(W.sys, blocks)
     if not dec.ok:
         raise ValueError(f"invalid decomposition: {dec.detail}")
     H = BlockSubgroup(W, blocks)
-    rng = random.Random(seed)
     hbox = list(H.enumerate_box(bound))
     checked = 0
 
     if not H.contains(W.unit):
         return H, Verdict.failure(("unit-not-member",))
 
-    for p, q in sweep(hbox, 2, 100_000, 100_000, rng)[1]:
+    for p, q in sweep(hbox, 2, 100_000, 100_000, random.Random(seed))[1]:
         checked += 1
         if not H.contains(W.mul(p, q)):
             return H, Verdict.failure(("mul-closure", p, q), checked)
@@ -392,10 +413,10 @@ def block_subgroup(W: PoLoop, blocks, bound: int = 2, triple_samples: int = 1000
         if right != left:
             return H, Verdict.failure(("one-sided-inverses-differ", p), checked)
 
-    for p, q, r in sweep(hbox, 3, 0, triple_samples, rng)[1]:
-        checked += 1
-        if W.mul(W.mul(p, q), r) != W.mul(p, W.mul(q, r)):
-            return H, Verdict.failure(("associativity", p, q, r), checked)
+    tried, defect = _generic_defect(W.sys, H.owner())
+    checked += tried
+    if defect is not None:
+        return H, Verdict.failure(("associativity", *defect[:2]), checked)
 
     gamma = GammaInterval(W)
     interval_h = [p for p in hbox if gamma.contains(p)]

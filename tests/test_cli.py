@@ -178,8 +178,8 @@ class TestBoundedSample:
         assert main(["axioms", "--spec", str(spec_path)]) == EXIT_PASS
 
     def test_loop_sample_leaves_a_large_box_unbuilt(self, monkeypatch):
-        # the loop box at the clamped bound 2 has 5 * 25**7 elements; the
-        # loop suite itself still builds it for its triple search
+        # the loop box at the clamped bound 2 has 5 * 25**7 elements, and
+        # neither the sample nor the loop suite builds it
         self.refuse_to_build(monkeypatch)
         spec = parse_spec(self.LARGE_BOX_SPEC)
         W = PoLoop(parse_group("Z^2"), spec.system)
@@ -188,6 +188,7 @@ class TestBoundedSample:
         assert W.neutral in sample and W.unit in sample
         assert all(abs(p.m) <= 2 and len(p.coords) == 7 and
                    all(max(map(abs, g)) <= 2 for g in p.coords) for p in sample)
+        assert run_suite(spec, "loop")["suites"]["loop"]["status"] == PASS
 
 
 class TestRunSuite:
@@ -310,6 +311,19 @@ class TestMain:
         assert out1.read_bytes() == out2.read_bytes()
         assert json.loads(out1.read_text())["spec"]["seed"] == 123
 
+    @pytest.mark.parametrize("suite", ["loop", "all"])
+    def test_loop_at_bound_zero_is_an_observation(self, tmp_path, capsys, suite):
+        # W's box at bound 0 is {neutral}: non-associativity is decided all
+        # the same, with no witness in the box and no criterion disagreement
+        spec_path = tmp_path / "ex.kite"
+        spec_path.write_text(EX82_SPEC.replace("bound = 1", "bound = 0"))
+        out = tmp_path / "report.json"
+        assert main([suite, "--spec", str(spec_path), "--json", str(out)]) == EXIT_PASS
+        entry = json.loads(out.read_text())["suites"]["loop"]
+        assert entry["status"] == PASS and entry["associative"] is False
+        assert "criterion-disagreement" not in json.dumps(entry)
+        assert "no concrete witness" in entry["associativity_detail"]
+
     def test_paper_examples_entry(self, capsys):
         assert main(["paper-examples"]) == EXIT_PASS
         assert "overall: PASS" in capsys.readouterr().out
@@ -415,14 +429,14 @@ def test_reports_identical_across_hash_seeds(tmp_path):
 # Z the sample is the whole 32-element box; over Z^2 samples = 100 keeps the
 # four reports to about 40 s while still drawing the axiom triples.
 REPORT_SHA256 = {
-    ("ex8.2", "Z", 500): "2beed263523554f51bd056f87d312aff7bc4313170b55d74afe4498bafe8901c",
-    ("ex8.4", "Z", 500): "b62e05a25f3e05df878c6c3bbfe0955e33ea9a967008456ad2db5411249f70dc",
-    ("ex8.5", "Z", 500): "d80ae6bb0f633565b3cd084cbb86ac2c55c8765b99db5a7cc21a9875f76cd88a",
-    ("ex3.8", "Z", 500): "c92daffc1da3b10663d9ae3e9a0fe0fad8a19506114d348fc7e4fac1977eecd5",
-    ("ex8.2", "Z^2", 100): "26742f0ac339c7c450ea8fdf00b73b54e33f7bef958c792a01d3392ad4087ddd",
-    ("ex8.4", "Z^2", 100): "dda4c88d9f4ef49e415f71b13bea228253c32ea1cc8f3c908650e360ffa01e77",
-    ("ex8.5", "Z^2", 100): "d5acd91842e5b6a3f07c38c3dd3fd0c6cbb41c38b7dfca39af7b19610f43b1f4",
-    ("ex3.8", "Z^2", 100): "3e91d16efeea8212103f78f2ddd16189e1eff02ffeb85910785b865050afd653",
+    ("ex8.2", "Z", 500): "b494bf5b9ba83c4ea76391907e2cc0d865a309e88a3766f8afed9998e56d957f",
+    ("ex8.4", "Z", 500): "df7b8988c60697b899dfa5c3fa307a72d3703d7f6e0647fc78be76f545d56690",
+    ("ex8.5", "Z", 500): "e1dd97b2531ba22962ddce8327b579a44d533988b5b2ab0f11bcfbcf7c363afd",
+    ("ex3.8", "Z", 500): "12d6075f593addc9336b55ed8652baa8365b94fe195fb6c7482867d3f8eb06cd",
+    ("ex8.2", "Z^2", 100): "a7f1eb5ce090eaf1596754e04fe2ede172fca65b7561db06d29d0f6deec7ce59",
+    ("ex8.4", "Z^2", 100): "0610e51cafc82b19bcc43c4cdc00991e018788ef8a0af8223b204497a4ce8c59",
+    ("ex8.5", "Z^2", 100): "23e921cc52171b50d3e42914f1fbb19a3365c02b7197f56963a42c636e65612a",
+    ("ex3.8", "Z^2", 100): "6134be4d8205a386cc577c2b1e0bdabcdc6d3a06562bc5a8e83d7e63522c792a",
 }
 
 

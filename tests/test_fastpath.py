@@ -7,7 +7,7 @@ the enumeration box.  The packed-integer kernel (kitealg.packed) is checked
 operation by operation against the object path, the three checkers that use
 it must return the same Verdict as on a subclass (which takes the object
 path), and a wrong twist in the kernel must surface as a FAIL; embed's sweep
-must find a wrong kite sum without the re-check.
+must find a wrong kite sum or a wrong order without the re-check.
 """
 
 import random
@@ -309,4 +309,20 @@ def test_embed_sweep_catches_a_wrong_kite_sum_unaided(monkeypatch):
     monkeypatch.setattr(packed, "Packing", WrongLowerUpper)
     v = embed_kite(KiteAlgebra(parse_group("Z^2"), system(*EX_3_8)), 1)
     assert v.failed and v.witnesses[0][0] in ("value", "definedness")
+    assert all(isinstance(w, KiteElement) for w in v.witnesses[0][1:])
+
+
+def test_embed_sweep_catches_a_wrong_packed_order_unaided(monkeypatch):
+    # the kernel's order test is reversed; with no re-check, the sweep's
+    # comparison with the order read from the kite's difference must find it
+    class ReversedOrder(packed.Packing):
+        def __init__(self, *args):
+            super().__init__(*args)
+            leq = self.leq
+            self.leq = lambda x, y: leq(y, x)
+
+    monkeypatch.setattr(packed, "RECHECK", 0)
+    monkeypatch.setattr(packed, "Packing", ReversedOrder)
+    v = embed_kite(KiteAlgebra(parse_group("Z^2"), system(*EX_3_8)), 1)
+    assert v.failed and v.witnesses[0][0] == "order"
     assert all(isinstance(w, KiteElement) for w in v.witnesses[0][1:])

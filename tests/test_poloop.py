@@ -2,13 +2,14 @@
 block-constant subgroups."""
 
 import itertools
+import operator
 import random
 import tracemalloc
 
 import pytest
 
 from kitealg.kite import KiteAlgebra
-from kitealg.pogroup import IntegerGroup, LoopGroup, VectorGroup
+from kitealg.pogroup import IntegerGroup, LexProduct, LoopGroup, VectorGroup
 from kitealg.poloop import (
     BlockSubgroup,
     GammaInterval,
@@ -16,6 +17,7 @@ from kitealg.poloop import (
     PoLoop,
     block_subgroup,
     check_whole_block_lex_agreement,
+    criteria_disagree,
     embed_kite,
     embed_kite_element,
     inverse_formula_readings,
@@ -23,7 +25,7 @@ from kitealg.poloop import (
     strong_unit_check,
 )
 
-from conftest import TEN_SYSTEMS, system
+from conftest import EX_3_8, EX_8_2, EX_8_4, EX_8_5, TEN_SYSTEMS, system
 
 Z = IntegerGroup()
 
@@ -146,20 +148,24 @@ class TestAssociativity:
         p, q, r = v.witnesses[0]
         assert W82.mul(W82.mul(p, q), r) != W82.mul(p, W82.mul(q, r))
 
-    def test_subbox_tier_consistent(self, ex38, ex82):
-        # force the sampled tier and confirm both verdict kinds survive it
-        assert is_associative(PoLoop(Z, ex38), bound=1, triple_cap=10).ok
-        assert is_associative(PoLoop(Z, ex82), bound=1, triple_cap=10).failed
-
-    @pytest.mark.parametrize("name,lam,rho", TEN_SYSTEMS,
-                             ids=[t[0] for t in TEN_SYSTEMS])
-    def test_criteria_never_disagree(self, name, lam, rho):
-        v = is_associative(PoLoop(Z, system(lam, rho)), bound=1)
-        assert "disagree" not in (v.detail or "")
+    @pytest.mark.parametrize(
+        "lam,rho,bound",
+        [(lam, rho, b) for b in (0, 1, 2) for _, lam, rho in TEN_SYSTEMS],
+        ids=[name if b == 1 else f"{name}-bound{b}" for b in (0, 1, 2)
+             for name, _, _ in TEN_SYSTEMS])
+    def test_criteria_never_disagree(self, lam, rho, bound):
+        # at bound 0 the box holds only the neutral element: non-associativity
+        # is still decided, with no concrete witness
+        W = PoLoop(Z, system(lam, rho))
+        v = is_associative(W, bound=bound)
+        assert not criteria_disagree(v), v.detail
+        assert v.ok == W.twists_commute()
+        if v.failed and bound == 0:
+            assert v.witnesses[0][0] == "levels" and "no concrete witness" in v.detail
 
     def test_large_box_is_streamed(self, ex82):
-        # 5 levels of 25**4 tuples: the shell search stops at its first
-        # witness without building the box
+        # 5 levels of 25**4 tuples: the witness is built from the generic
+        # defect without building the box
         W = PoLoop(VectorGroup(2), ex82)
         assert len(W.enumerate_box(2)) == 1_953_125
         tracemalloc.start()
@@ -169,9 +175,40 @@ class TestAssociativity:
         finally:
             tracemalloc.stop()
         assert peak < 5_000_000
-        assert v.failed and v.checked == 127
-        middle = LoopElement(-2, ((-2, -2), (-2, -2), (-2, -1), (-2, -2)))
-        assert v.witnesses == ((W.u_power(-2), middle, W.u_power(-1)),)
+        assert v.failed and v.checked == 2
+        e = (0, 0)
+        middle = LoopElement(-1, (e, (-2, -2), e, e))
+        assert v.witnesses == ((W.u_power(-1), middle, W.u_power(-1)),)
+
+    @pytest.mark.parametrize("G", [Z, VectorGroup(2), LexProduct(Z, Z)],
+                             ids=["Z", "Z^2", "lex(Z,Z)"])
+    @pytest.mark.parametrize("twists", [EX_8_2, EX_8_4, EX_8_5], ids=["ex8.2", "ex8.4", "ex8.5"])
+    def test_box_witness_fails_under_the_real_product(self, twists, G):
+        W = PoLoop(G, system(*twists))
+        v = is_associative(W, bound=1)
+        assert v.failed and not criteria_disagree(v)
+        (p, q, r), = v.witnesses
+        assert W.mul(W.mul(p, q), r) != W.mul(p, W.mul(q, r))
+        assert all(abs(x.m) <= 1 for x in (p, q, r))
+
+    @pytest.mark.parametrize("twists", [EX_3_8, EX_8_2], ids=["ex3.8", "ex8.2"])
+    def test_inverted_permutation_test_is_a_disagreement(self, monkeypatch, twists):
+        # with the permutation criterion planted wrong, the generic product
+        # must contradict it, on either side of the dichotomy
+        commute = PoLoop.twists_commute
+        monkeypatch.setattr(PoLoop, "twists_commute", lambda W: not commute(W))
+        assert criteria_disagree(is_associative(PoLoop(Z, system(*twists)), bound=1))
+
+    @pytest.mark.parametrize("twists,op", [(EX_3_8, operator.sub), (EX_8_2, lambda x, y: x)],
+                             ids=["ex3.8-subtract", "ex8.2-left-factor"])
+    def test_a_wrong_group_product_is_a_disagreement(self, twists, op):
+        # the generic criterion never calls G: the box triples (associative
+        # loop) and the witness (non-associative one) tie the verdict to it
+        class Wrong(IntegerGroup):
+            def op_each(self, xs, ys):
+                return tuple(map(op, xs, ys))
+        v = is_associative(PoLoop(Wrong(), system(*twists)), bound=1)
+        assert criteria_disagree(v) and len(v.witnesses[0][2]) == 3
 
 
 class TestStrongUnit:
@@ -267,7 +304,7 @@ class TestBlockSubgroup:
 
     def test_valid_decomposition_passes(self, ex84):
         W = PoLoop(Z, ex84)
-        H, v = block_subgroup(W, [{0, 3}, {1, 2}], bound=1, triple_samples=300)
+        H, v = block_subgroup(W, [{0, 3}, {1, 2}], bound=1)
         assert v.ok, v.detail
         assert H.contains(W.unit)
 
@@ -275,7 +312,7 @@ class TestBlockSubgroup:
         for name, lam, rho in TEN_SYSTEMS:
             sys = system(lam, rho)
             W = PoLoop(Z, sys)
-            _, v = block_subgroup(W, [set(range(sys.n))], bound=1, triple_samples=200)
+            _, v = block_subgroup(W, [set(range(sys.n))], bound=1)
             assert v.ok, (name, v.detail)
 
     def test_invalid_decomposition_rejected(self, ex85):
