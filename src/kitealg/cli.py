@@ -326,7 +326,7 @@ def _suite_commutativity(spec, G, sys_):
 def _suite_rdp(spec, G, sys_):
     A = kt.KiteAlgebra(G, sys_)
     sample = _kite_sample(spec, A)
-    verdict = kt.check_kite_rdp(A, "RDP2", sample, seed=spec.seed)
+    verdict = kt.check_kite_rdp(A, sample, seed=spec.seed)
     return _entry(verdict, variant="RDP2", sample_size=len(sample))
 
 
@@ -335,19 +335,20 @@ def _suite_loop(spec, G, sys_):
     bound = min(spec.bound, 2)
     assoc = pl.is_associative(W, bound=bound)
     sample = _loop_sample(spec, W, bound)
-    inv_failures = [
-        p for p, (right, left) in zip(sample, map(W.inverses, sample))
+    inverse = [
+        Verdict.failure(p, detail="inverse law: p * right or left * p is not neutral")
+        for p, (right, left) in zip(sample, map(W.inverses, sample))
         if W.mul(p, right) != W.neutral or W.mul(left, p) != W.neutral
-    ]
+    ][:1]
     unit = pl.strong_unit_check(W, sample, nmax=spec.bound + 2)
     readings = pl.inverse_formula_readings(W, sample[0])
-    # non-associativity with a witness is an observation; only a disagreement
-    # between the two associativity criteria (or a broken law) is a failure
+    # non-associativity with a witness is an observation; the entry fails on
+    # a disagreement of the associativity criteria, a broken inverse law or
+    # a failed strong unit, and reports the first of them
     checked = assoc.checked + len(sample) + unit.checked
-    if pl.criteria_disagree(assoc) or inv_failures or not unit.ok:
-        witness = tuple(inv_failures[:1]) or assoc.witnesses or unit.witnesses
-        status = Verdict("FAIL", checked=checked,
-                         witnesses=witness, detail=assoc.detail or unit.detail)
+    failed = [assoc] * pl.criteria_disagree(assoc) + inverse + [unit] * (not unit.ok)
+    if failed:
+        status = Verdict("FAIL", checked, failed[0].witnesses, failed[0].detail)
     else:
         status = Verdict.passed(checked, detail=assoc.detail)
     return _entry(

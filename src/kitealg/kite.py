@@ -114,24 +114,12 @@ class KiteAlgebra:
     # -- complements and differences ---------------------------------------
 
     def complement_minus(self, x: KiteElement) -> KiteElement:
-        """The left complement: minus(x) + x = 1."""
-        self._check(x)
-        G, sys = self.G, self.sys
-        if x.tag == LOWER:
-            return KiteElement(UPPER, tuple(G.inv(x.coords[sys.rho_inv[i]])
-                                            for i in range(sys.n)))
-        return KiteElement(LOWER, tuple(G.inv(x.coords[sys.lam[j]])
-                                        for j in range(sys.n)))
+        """The left complement, the difference from 1: minus(x) + x = 1."""
+        return self._solve_left(self.one, x)
 
     def complement_tilde(self, x: KiteElement) -> KiteElement:
-        """The right complement: x + tilde(x) = 1."""
-        self._check(x)
-        G, sys = self.G, self.sys
-        if x.tag == LOWER:
-            return KiteElement(UPPER, tuple(G.inv(x.coords[sys.lam_inv[i]])
-                                            for i in range(sys.n)))
-        return KiteElement(LOWER, tuple(G.inv(x.coords[sys.rho[j]])
-                                        for j in range(sys.n)))
+        """The right complement, the difference from 1: x + tilde(x) = 1."""
+        return self._solve_right(x, self.one)
 
     def diff_left(self, b: KiteElement, a: KiteElement) -> Optional[KiteElement]:
         """The unique d with d + a = b, or None when a is not below b."""
@@ -390,49 +378,32 @@ def rdp_quadruples(A: KiteAlgebra, sample: list[KiteElement], box=None):
     yield from quadruple_box(sum_classes(A, sample)) if box is None else box
 
 
-def rdp_side_condition(A: KiteAlgebra, variant: str, c12, c21,
-                       sample: list[KiteElement]) -> bool:
-    if variant in ("RDP0", "RDP"):
-        return True
-    if variant == "RDP2":
-        return A.meet_is_zero(c12, c21, sample)
-    if variant == "RDP1":  # com within the sampled carrier
-        xs = [x for x in sample if A.leq(x, c12)]
-        ys = [y for y in sample if A.leq(y, c21)]
-        return all(A.add(x, y) == A.add(y, x) for x in xs for y in ys)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def find_kite_refinement(A: KiteAlgebra, variant: str, a1, a2, b1, b2,
+def find_kite_refinement(A: KiteAlgebra, a1, a2, b1, b2,
                          sample: list[KiteElement]):
-    """Search for a refinement matrix of the quadruple; None when the bounded
-    search is exhausted."""
-    def candidates():
-        # the coordinate meet is the canonical choice in the lattice case;
-        # fall back to scanning the sample only when it fails
-        if A.G.has_meet:
-            yield A.meet(a1, b1)
-        for c in sample:
-            if A.leq(c, a1) and A.leq(c, b1):
-                yield c
+    """Search an RDP2 refinement matrix of the quadruple; None when the
+    bounded search is exhausted.
 
-    seen = set()
-    for c11 in candidates():
-        if c11 in seen:
-            continue
-        seen.add(c11)
+    When G is a lattice, c11 = a1 ^ b1 is the only candidate.  Taking x to
+    the d with c + d = x is an order isomorphism of [c, 1] onto
+    [0, tilde(c)], so c12 ^ c21 is the d with c11 + d = a1 ^ b1, which is 0
+    only when c11 = a1 ^ b1.  Otherwise every common lower bound of a1 and
+    b1 in the sample is tried.
+    """
+    if A.G.has_meet:
+        candidates = [A.meet(a1, b1)]
+    else:
+        candidates = (c for c in sample if A.leq(c, a1) and A.leq(c, b1))
+    for c11 in candidates:
         rest = _refine(A, a1, a2, b1, b2, c11)
-        if rest is None:
-            continue
-        c12, c21, c22 = rest
-        if rdp_side_condition(A, variant, c12, c21, sample):
-            return ((c11, c12), (c21, c22))
+        if rest is not None and A.meet_is_zero(rest[0], rest[1], sample):
+            return (c11, rest[0]), rest[1:]
     return None
 
 
-def check_kite_rdp(A: KiteAlgebra, variant: str, sample: list[KiteElement],
+def check_kite_rdp(A: KiteAlgebra, sample: list[KiteElement],
                    quad_cap: int = 300_000, seed: int = 0) -> Verdict:
-    """Search a refinement for every sampled quadruple with equal defined sums.
+    """Search an RDP2 refinement for every sampled quadruple with equal
+    defined sums.
 
     A missing refinement is INCONCLUSIVE (bounded search), not a refutation.
     Above quad_cap, quad_cap positions of the quadruple box are drawn and
@@ -448,7 +419,7 @@ def check_kite_rdp(A: KiteAlgebra, variant: str, sample: list[KiteElement],
         quads = map(box.__getitem__, rng.sample(range(len(box)), quad_cap))
     checked, found, witnesses = min(len(box), quad_cap), 0, []
     for a1, a2, b1, b2 in quads:
-        if find_kite_refinement(A, variant, a1, a2, b1, b2, sample) is not None:
+        if find_kite_refinement(A, a1, a2, b1, b2, sample) is not None:
             found += 1
         elif len(witnesses) < 5:
             witnesses.append((a1, a2, b1, b2))

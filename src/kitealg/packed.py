@@ -75,7 +75,8 @@ class Packing:
     absolute value at most bound; sums of up to three of them, and their
     differences, stay exact.  The differences take members of the kite (Lower
     coordinates positive, Upper ones negative), for which the object path's
-    re-addition of a difference always holds.
+    re-addition of a difference always holds.  The complements are the
+    differences from `one`.
 
     The permutations lam_src and rho_src name the coordinate that the
     lam_inv- and rho_inv-twisted segments carry at each position.  `add`
@@ -160,23 +161,12 @@ class Packing:
             c = b - a + BIAS3
             return c if positive(c & SEG) else None
 
-        def complement_minus(x):
-            """minus(x) + x = 1."""
-            if x & TAG:
-                return lower(twist(TAG + HI - (x & SEG), lam_fwd, block))
-            return (TAG + HI - (x >> S2)) * REP
-
-        def complement_tilde(x):
-            """x + tilde(x) = 1."""
-            if x & TAG:
-                return lower(twist(TAG + HI - (x & SEG), rho_fwd, block))
-            return (TAG + HI - (x >> S & SEG)) * REP
-
         self.add, self.product, self.leq = add, product, leq
         self.diff_left, self.diff_right = diff_left, diff_right
-        self.complement_minus, self.complement_tilde = complement_minus, complement_tilde
         self.zero = lower(BIAS)
-        self.one = (TAG + BIAS) * REP
+        self.one = one = (TAG + BIAS) * REP
+        self.complement_minus = lambda x: diff_left(one, x)
+        self.complement_tilde = lambda x: diff_right(x, one)
 
     def lower(self, plain: int) -> int:
         """The Lower element with this plain segment."""

@@ -215,7 +215,7 @@ def strong_unit_check(W: PoLoop, sample: list[LoopElement], nmax: int) -> Verdic
         checked += 1
         n = next((k for k in range(nmax + 1) if W.leq(g, W.u_power(k))), None)
         if n is None:
-            return Verdict.failure(("no-power", g), checked)
+            return Verdict.failure(("no-power", g), checked, f"no u^n with n <= {nmax} is above it")
         worst = max(worst, n)
     return Verdict.passed(checked, detail=f"max exponent needed: {worst}")
 

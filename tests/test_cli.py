@@ -31,6 +31,7 @@ from kitealg.cli import (
     parse_spec,
     run_suite,
 )
+from kitealg import poloop as pl
 from kitealg import subdirect as sd
 from kitealg.kite import KiteAlgebra
 from kitealg.pogroup import MAX_NESTING, parse_group
@@ -257,6 +258,36 @@ def test_planted_kernel_fault_fails_the_subdirect_entry(monkeypatch):
     assert entry["kernel_check"] == planted.to_json()
     assert entry["witnesses"] == [repr(("kernel-intersection", "planted"))]
     assert all(v["status"] == PASS for v in entry["report"]["surjectivity"])
+
+
+def _paper_spec(name, group="Z"):
+    lam, rho = PAPER_SYSTEMS[name]
+    return parse_spec(f"group = {group}\nn = 4\nlambda = {lam}\nrho = {rho}\nbound = 1\n")
+
+
+# ex8.2's loop is non-associative and ex3.8's associative: a broken law
+# reports its own witness and detail, not the associativity observation
+@pytest.mark.parametrize("name", ["ex8.2", "ex3.8"])
+def test_a_failed_strong_unit_reports_its_own_witness(monkeypatch, name):
+    planted = Verdict.failure(("no-power", "planted"), 1, "planted fault")
+    monkeypatch.setattr(pl, "strong_unit_check", lambda *args, **kwargs: planted)
+    entry = run_suite(_paper_spec(name), "loop")["suites"]["loop"]
+    assert entry["status"] == FAIL
+    assert entry["witnesses"] == [repr(("no-power", "planted"))]
+    assert entry["detail"] == "planted fault"
+    assert entry["strong_unit"] == planted.to_json()
+
+
+@pytest.mark.parametrize("name", ["ex8.2", "ex3.8"])
+def test_a_failed_inverse_law_reports_its_own_witness(monkeypatch, name):
+    spec = _paper_spec(name)
+    W = PoLoop(parse_group("Z"), spec.system)
+    first = next(p for p in _loop_sample(spec, W, 1) if p != W.neutral)
+    monkeypatch.setattr(PoLoop, "inverses", lambda W, p: (W.neutral, W.neutral))
+    entry = run_suite(spec, "loop")["suites"]["loop"]
+    assert entry["status"] == FAIL
+    assert entry["witnesses"] == [repr(first)]
+    assert entry["detail"] == "inverse law: p * right or left * p is not neutral"
 
 
 class TestExitCodes:

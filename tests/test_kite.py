@@ -12,11 +12,14 @@ from kitealg.kite import (
     KiteAlgebra,
     KiteElement,
     ShapeMismatch,
+    _refine,
     check_commutativity,
     check_kite_rdp,
     check_pea_axioms,
     find_kite_refinement,
+    quadruple_box,
     rdp_quadruples,
+    sum_classes,
 )
 from kitealg.pogroup import IntegerGroup, UnsupportedCarrier, VectorGroup, parse_group
 
@@ -230,7 +233,7 @@ class TestRdp:
     def test_refinement_is_valid(self, K82):
         sample = K82.enumerate_box(1)
         for quad in itertools.islice(rdp_quadruples(K82, sample), 300):
-            ref = find_kite_refinement(K82, "RDP2", *quad, sample)
+            ref = find_kite_refinement(K82, *quad, sample)
             assert ref is not None
             (c11, c12), (c21, c22) = ref
             a1, a2, b1, b2 = quad
@@ -240,11 +243,53 @@ class TestRdp:
             assert K82.add(c12, c22) == b2
             assert K82.meet_is_zero(c12, c21, sample)
 
-    @pytest.mark.parametrize("variant", ["RDP0", "RDP", "RDP1", "RDP2"])
-    def test_small_systems_pass(self, variant):
+    def test_small_systems_pass(self):
         A = KiteAlgebra(Z, system([1, 2], [2, 1]))
-        v = check_kite_rdp(A, variant, A.enumerate_box(1))
+        v = check_kite_rdp(A, A.enumerate_box(1))
         assert v.ok, v.detail
+
+    @pytest.mark.parametrize("desc, draws", [("Z", None), ("Z^2", 150), ("lex(Z,Z)", 60)])
+    def test_on_a_lattice_only_the_meet_refines(self, desc, draws):
+        # every quadruple of ex8.2 over Z at bound 1, a seeded slice elsewhere
+        A = KiteAlgebra(parse_group(desc), system(*EX_8_2))
+        box = A.enumerate_box(1)
+        quads = quadruple_box(sum_classes(A, box if draws is None else
+                                          random.Random(1).sample(box, 40)))
+        if draws is not None:
+            quads = [quads[i] for i in random.Random(2).sample(range(len(quads)), draws)]
+        unscanned = _Unscannable(box)
+        for quad in quads:
+            a1, _, b1, _ = quad
+            assert find_kite_refinement(A, *quad, unscanned) is not None, quad
+            meet = A.meet(a1, b1)
+            for c in box:
+                if c != meet and A.leq(c, a1) and A.leq(c, b1):
+                    rest = _refine(A, *quad, c)
+                    assert rest is None or not A.meet_is_zero(*rest[:2]), (quad, c)
+        assert len(quads) == (3796 if draws is None else draws)
+
+    def test_no_meet_scans_the_sample(self):
+        # lex(Z^2,Z) has no meet: c11 comes from the common lower bounds of
+        # a1 and b1 in the sample, and none of an empty one
+        A = KiteAlgebra(parse_group("lex(Z^2,Z)"), system([1, 2], [2, 1]))
+        e = ((0, 0), 0)
+        a1 = b2 = A.lower(e, ((0, 0), 1))
+        a2 = b1 = A.lower(e, ((0, 1), 0))
+        sample = list(A.enumerate_box(1))
+        (c11, c12), (c21, c22) = find_kite_refinement(A, a1, a2, b1, b2, sample)
+        assert c11 == a1 and c11 in sample
+        assert (A.add(c11, c12), A.add(c21, c22), A.add(c11, c21), A.add(c12, c22)) == (
+            a1, a2, b1, b2)
+        assert A.meet_is_zero(c12, c21, sample)
+        assert find_kite_refinement(A, a1, a2, b1, b2, []) is None
+
+
+class _Unscannable(list):
+    """A sample whose iteration fails the test: a search that must not scan
+    it is handed one."""
+
+    def __iter__(self):
+        raise AssertionError("the sample was scanned")
 
 
 def _box_pairs(box, limit=4096, draws=400):

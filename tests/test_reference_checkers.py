@@ -171,12 +171,12 @@ def test_over_cap_rdp_stream_matches_list_sample(monkeypatch, group, cap, seed):
 
     asked = []
 
-    def record(A, variant, a1, a2, b1, b2, sample):
+    def record(A, a1, a2, b1, b2, sample):
         asked.append((a1, a2, b1, b2))
         return None if len(asked) % 3 == 0 else ()
 
     monkeypatch.setattr(kite, "find_kite_refinement", record)
-    v = kite.check_kite_rdp(A, "RDP2", sample, quad_cap=cap, seed=seed)
+    v = kite.check_kite_rdp(A, sample, quad_cap=cap, seed=seed)
     assert asked == want
     missing = want[2::3]
     assert v.status == "INCONCLUSIVE" and v.checked == cap
@@ -190,8 +190,8 @@ def test_under_cap_rdp_streams_every_quadruple(monkeypatch):
     sample = A.enumerate_box(1)
     asked = []
     monkeypatch.setattr(kite, "find_kite_refinement",
-                        lambda A, variant, *quad: asked.append(quad[:4]) or ())
-    v = kite.check_kite_rdp(A, "RDP2", sample)
+                        lambda A, *quad: asked.append(quad[:4]) or ())
+    v = kite.check_kite_rdp(A, sample)
     assert asked == list(kite.rdp_quadruples(A, sample))
     assert v.ok and v.checked == len(asked)
 
