@@ -15,7 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterable, Optional
+from typing import Optional
 
 from kitealg import packed
 from kitealg.indexsys import IndexSystem
@@ -178,19 +178,18 @@ class KiteAlgebra:
             return x if x.tag == LOWER else y
         return KiteElement(x.tag, tuple(map(self.G.meet, x.coords, y.coords)))
 
-    def meet_is_zero(self, x: KiteElement, y: KiteElement,
-                     sample: Iterable[KiteElement] = ()) -> bool:
-        """Decide x ^ y = 0.
+    def meet_is_zero(self, x: KiteElement, y: KiteElement) -> bool:
+        """Decide x ^ y = 0 from the kite's structure; False when undecided.
 
-        When G is a built-in lattice the meet is computed directly.
-        Otherwise 0 must be the only common lower bound found in the sample.
+        A Lower element is its own meet with an Upper one, and two Upper ones
+        never meet at 0: every Lower element lies below both.  Two Lower ones
+        meet coordinatewise; off a lattice a coordinate meets at e when one of
+        its two values is e, and is undecided otherwise.
         """
-        if self.G.has_meet:
+        if x.tag != y.tag or self.G.has_meet:
             return self.meet(x, y) == self.zero
-        for z in sample:
-            if z != self.zero and self.leq(z, x) and self.leq(z, y):
-                return False
-        return True
+        e = self.G.identity
+        return x.tag == LOWER and all(e in pair for pair in zip(x.coords, y.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +210,9 @@ def check_pea_axioms(A: KiteAlgebra, sample: list[KiteElement], seed: int = 0,
     triple_cap bounds the table.  When triples are drawn, each sum is
     computed where it is read, so memory stays linear in the sample.
 
-    A KiteAlgebra over Z or Z^k, on a sample of its members, runs the same
-    checks on the sample packed into ints (kitealg.packed), once a seeded
+    A KiteAlgebra over Z, Z^k or lex(Z,Z), on a sample of its members, runs
+    the same checks on the sample packed into ints (kitealg.packed; a
+    lex(Z,Z) pair (a, b) packs as the Z scalar a*M + b), once a seeded
     sample of triples has given the same results through the kite's own
     operations; packed witnesses are decoded to elements.
     """
@@ -387,7 +387,8 @@ def find_kite_refinement(A: KiteAlgebra, a1, a2, b1, b2,
     the d with c + d = x is an order isomorphism of [c, 1] onto
     [0, tilde(c)], so c12 ^ c21 is the d with c11 + d = a1 ^ b1, which is 0
     only when c11 = a1 ^ b1.  Otherwise every common lower bound of a1 and
-    b1 in the sample is tried.
+    b1 in the sample is tried, and c12 ^ c21 = 0 must follow from the kite's
+    structure (meet_is_zero), not from the sample.
     """
     if A.G.has_meet:
         candidates = [A.meet(a1, b1)]
@@ -395,7 +396,7 @@ def find_kite_refinement(A: KiteAlgebra, a1, a2, b1, b2,
         candidates = (c for c in sample if A.leq(c, a1) and A.leq(c, b1))
     for c11 in candidates:
         rest = _refine(A, a1, a2, b1, b2, c11)
-        if rest is not None and A.meet_is_zero(rest[0], rest[1], sample):
+        if rest is not None and A.meet_is_zero(rest[0], rest[1]):
             return (c11, rest[0]), rest[1:]
     return None
 

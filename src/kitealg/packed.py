@@ -1,4 +1,4 @@
-"""Packed integers for kites and their intervals over Z and Z^k.
+"""Packed integers for kites and their intervals over Z, Z^k and lex(Z,Z).
 
 Every scalar coordinate sits in a W-bit offset-binary field: a value c is
 stored as c + B with B = 2**(W-2), and the top bit of each field is
@@ -19,6 +19,10 @@ checkers call on a kite (`add`, `leq`, both differences and complements,
 Gamma(W, u) of the po-loop, a Lower element at level 0 and an Upper one at
 level 1: `product` is the loop product of two of them, spelled from the
 loop's rule on levels rather than the kite's on tags.
+
+A lex(Z,Z) element (a, b) packs as the scalar a*M + b of Z.  While |b| < M
+that map is an order embedding and a homomorphism, so a lex(Z,Z) kite packs
+as a Z kite; M exceeds every second coordinate the kernel forms.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import operator
 import random
 
 from kitealg.indexsys import perm_inverse
-from kitealg.pogroup import IntegerGroup, VectorGroup
+from kitealg.pogroup import IntegerGroup, LexProduct, VectorGroup
 from kitealg.verdict import sweep
 
 # each kernel sweep re-runs this many of its tuples (all of them when there
@@ -38,8 +42,9 @@ RECHECK_SEED = 20130829
 
 
 def supports(G) -> bool:
-    """Z and Z^k exactly: a subclass may change the arithmetic."""
-    return type(G) in (IntegerGroup, VectorGroup)
+    """Z, Z^k and lex(Z,Z) exactly: a subclass may change the arithmetic."""
+    return type(G) in (IntegerGroup, VectorGroup) or type(G) is LexProduct and (
+        type(G.left) is type(G.right) is IntegerGroup)
 
 
 def field_width(bound: int) -> int:
@@ -47,6 +52,12 @@ def field_width(bound: int) -> int:
     exceeds 8 * bound, so sums and differences of up to three box values,
     plus the mask offsets, never leave their field."""
     return (8 * bound).bit_length() + 2
+
+
+def multiplier(bound: int) -> int:
+    """M for lex(Z,Z) pairs of absolute values at most bound: a sum or
+    difference of up to three box values keeps |b| <= 3 * bound < M."""
+    return 8 * bound + 1
 
 
 def coordinate_bound(G, coord_tuples) -> int:
@@ -71,11 +82,11 @@ def recheck_tuples(size: int, arity: int):
 
 
 class Packing:
-    """Packed elements with n coordinates in G (Z or Z^k), every scalar of
-    absolute value at most bound; sums of up to three of them, and their
-    differences, stay exact.  The differences take members of the kite (Lower
-    coordinates positive, Upper ones negative), for which the object path's
-    re-addition of a difference always holds.  The complements are the
+    """Packed elements with n coordinates in G (Z, Z^k or lex(Z,Z)), every
+    scalar of absolute value at most bound; sums of up to three of them, and
+    their differences, stay exact.  The differences take members of the kite
+    (Lower coordinates positive, Upper ones negative), for which the object
+    path's re-addition of a difference always holds.  The complements are the
     differences from `one`.
 
     The permutations lam_src and rho_src name the coordinate that the
@@ -86,9 +97,10 @@ class Packing:
     """
 
     def __init__(self, G, n: int, bound: int, lam_src, rho_src):
-        self.flat = type(G) is IntegerGroup
+        self.flat = type(G) is not VectorGroup
         self.k = k = 1 if self.flat else G.k
-        self.w = w = field_width(bound)
+        self.M = M = multiplier(bound) if type(G) is LexProduct else 0
+        self.w = w = field_width(bound * (M + 1) if M else bound)
         self.bias = B = 1 << (w - 2)
         fields = n * k
         self.shifts = [w * f for f in range(fields)]
@@ -175,7 +187,9 @@ class Packing:
 
     def pack(self, upper: bool, coords) -> int:
         """The element with these n coordinates, Upper (level 1) or Lower."""
-        scalars = coords if self.flat else itertools.chain.from_iterable(coords)
+        M = self.M
+        scalars = ([a * M + b for a, b in coords] if M else
+                   coords if self.flat else itertools.chain.from_iterable(coords))
         plain = self.BIAS + sum(map(operator.lshift, scalars, self.shifts))
         return (plain + self.TAG) * self.REP if upper else self.lower(plain)
 
@@ -183,7 +197,10 @@ class Packing:
         """(upper, coords) of a packed element."""
         mask = (1 << self.w) - 1
         scalars = [(v >> s & mask) - self.bias for s in self.shifts]
-        if not self.flat:
+        if self.M:
+            h = self.M // 2
+            scalars = [(a, b - h) for a, b in (divmod(s + h, self.M) for s in scalars)]
+        elif not self.flat:
             scalars = [tuple(scalars[i:i + self.k]) for i in range(0, len(scalars), self.k)]
         return bool(v & self.TAG), tuple(scalars)
 

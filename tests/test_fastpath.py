@@ -6,8 +6,9 @@ and the group tuple operations, on seeded random elements whose sums leave
 the enumeration box.  The packed-integer kernel (kitealg.packed) is checked
 operation by operation against the object path, the three checkers that use
 it must return the same Verdict as on a subclass (which takes the object
-path), and a wrong twist in the kernel must surface as a FAIL; embed's sweep
-must find a wrong kite sum or a wrong order without the re-check.
+path), and a wrong twist in the kernel, or a lex(Z,Z) multiplier too small
+for the order embedding, must surface as a FAIL; embed's sweep must find a
+wrong kite sum or a wrong order without the re-check.
 """
 
 import random
@@ -17,7 +18,7 @@ import pytest
 from kitealg import packed
 from kitealg.indexsys import IndexSystem, perm_inverse
 from kitealg.kite import LOWER, UPPER, KiteAlgebra, KiteElement, check_pea_axioms
-from kitealg.pogroup import PoGroup, parse_group
+from kitealg.pogroup import IntegerGroup, LexProduct, PoGroup, parse_group
 from kitealg.poloop import GammaInterval, LoopElement, PoLoop, embed_kite
 from kitealg.subdirect import subdirect_embedding_check
 
@@ -162,20 +163,25 @@ def test_interval_contains(G):
 
 # -- the packed kernel ------------------------------------------------------------
 
-KERNEL_GROUPS = ["Z", "Z^1", "Z^2", "Z^3"]
+KERNEL_GROUPS = ["Z", "Z^1", "Z^2", "Z^3", "lex(Z,Z)"]
+CYCLES_3 = ([2, 3, 1], [3, 1, 2])
 
 
 def _members(G, n, bound, rng, count):
     """count Lower and count Upper kite elements with coordinates within
     bound, extremes included, plus 0 and 1."""
-    k = 1 if G.name == "Z" else G.k
-
     def scalar(sign):
         return sign * rng.choice([0, bound, rng.randint(0, bound)])
 
     def coord(sign):
-        values = [scalar(sign) for _ in range(k)]
-        return values[0] if G.name == "Z" else tuple(values)
+        if G.name == "Z":
+            return scalar(sign)
+        if G.name == "lex(Z,Z)":  # a positive pair has a > 0, or a = 0 and b >= 0
+            a = scalar(sign)
+            if a == 0:
+                return a, scalar(sign)
+            return a, rng.choice([-bound, bound, rng.randint(-bound, bound)])
+        return tuple(scalar(sign) for _ in range(G.k))
 
     out = [KiteElement(tag, tuple(coord(1 if tag == LOWER else -1) for _ in range(n)))
            for tag in (LOWER, UPPER) for _ in range(count)]
@@ -244,6 +250,7 @@ def test_packed_operations_match_objects(group, bound):
                          ids=["table", "drawn"])
 @pytest.mark.parametrize("group, lam_rho, bound", [
     ("Z", EX_8_2, 1), ("Z", EX_8_5, 2), ("Z^2", EX_3_8, 1), ("Z^3", ([2, 3, 1], [1, 3, 2]), 1),
+    ("lex(Z,Z)", CYCLES_3, 1), ("lex(Z,Z)", EX_8_2, 2),
 ])
 def test_axioms_verdict_matches_object_path(group, lam_rho, bound, regime):
     from kitealg.cli import bounded_sample
@@ -258,6 +265,9 @@ def test_axioms_verdict_matches_object_path(group, lam_rho, bound, regime):
     ("Z", EX_8_2, 1), ("Z", EX_8_5, 0), ("Z^2", ([2, 3, 1], [3, 1, 2]), 1),
     # 1,458 elements: 40,000 drawn pairs
     ("Z^2", ([2, 3, 1], [3, 1, 2]), 2),
+    ("lex(Z,Z)", CYCLES_3, 1), ("lex(Z,Z)", EX_3_8, 0),
+    # 1,250 elements: 40,000 drawn pairs
+    ("lex(Z,Z)", EX_8_2, 1),
 ])
 def test_embed_verdict_matches_object_path(group, lam_rho, bound):
     G = parse_group(group)
@@ -268,6 +278,7 @@ def test_embed_verdict_matches_object_path(group, lam_rho, bound):
 @pytest.mark.parametrize("group, lam_rho, bound, pair_cap", [
     ("Z", EX_8_2, 1, 200_000), ("Z", EX_3_8, 2, 200_000),
     ("Z^2", EX_3_8, 1, 3_000), ("Z^3", ([1, 2], [2, 1]), 1, 1_000),
+    ("lex(Z,Z)", EX_3_8, 1, 3_000), ("lex(Z,Z)", CYCLES_3, 2, 20_000),
 ])
 def test_subdirect_report_matches_object_path(group, lam_rho, bound, pair_cap):
     G = parse_group(group)
@@ -276,17 +287,79 @@ def test_subdirect_report_matches_object_path(group, lam_rho, bound, pair_cap):
     assert got.verdict.ok and got == want
 
 
-def test_wrong_twist_fails_every_checker(monkeypatch):
-    # the kernel's twisted segments left untwisted: its mixed sums go wrong
-    # while the object path is sound, and only the re-check can tell
-    monkeypatch.setattr(packed, "twist", lambda segment, src, width: segment)
-    A = KiteAlgebra(parse_group("Z^2"), system(*EX_8_2))
+def _assert_every_checker_disagrees(A):
     sample = list(A.enumerate_box(1))
     verdicts = [check_pea_axioms(A, sample), embed_kite(A, 1),
                 subdirect_embedding_check(A, 1).hom_preservation]
     for v in verdicts:
         assert v.failed and v.witnesses[0][0] == "kernel-disagreement"
         assert all(isinstance(w, KiteElement) for w in v.witnesses[0][1:])
+
+
+def test_wrong_twist_fails_every_checker(monkeypatch):
+    # the kernel's twisted segments left untwisted: its mixed sums go wrong
+    # while the object path is sound, and only the re-check can tell
+    monkeypatch.setattr(packed, "twist", lambda segment, src, width: segment)
+    for group in ["Z^2", "lex(Z,Z)"]:
+        _assert_every_checker_disagrees(KiteAlgebra(parse_group(group), system(*EX_8_2)))
+
+
+@pytest.mark.parametrize("lam_rho", [CYCLES_3, EX_3_8], ids=["cycles-3", "ex3.8"])
+def test_small_lex_multiplier_fails_every_checker(monkeypatch, lam_rho):
+    # with M = bound + 1, a*M + b is still a homomorphism but no longer an
+    # order embedding once |b| reaches M: (-1, 2) packs as 0, which is both
+    # positive and negative, so definedness and differences go wrong
+    monkeypatch.setattr(packed, "multiplier", lambda bound: bound + 1)
+    _assert_every_checker_disagrees(KiteAlgebra(parse_group("lex(Z,Z)"), system(*lam_rho)))
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_lex_pack_decode_round_trip(bound):
+    # box values, and the two- and three-fold sums the kernel forms of them,
+    # decode to themselves
+    A = KiteAlgebra(parse_group("lex(Z,Z)"), system(*CYCLES_3))
+    K = packed.Packing(A.G, A.sys.n, bound, A.sys.lam_inv, A.sys.rho_inv)
+
+    def pack(x):
+        return K.pack(x.tag == UPPER, x.coords)
+
+    def element(v):
+        upper, coords = K.decode(v)
+        return KiteElement(UPPER if upper else LOWER, coords)
+
+    box = list(A.enumerate_box(bound))
+    assert [element(pack(x)) for x in box] == box
+    rng = random.Random(bound)
+    sums = 0
+    for _ in range(2_000):
+        x, y, z = (rng.choice(box) for _ in range(3))
+        s = A.add(x, y)
+        if s is None:
+            continue
+        assert element(K.add(pack(x), pack(y))) == s
+        t = A.add(s, z)
+        if t is not None:
+            sums += 1
+            assert element(K.add(K.add(pack(x), pack(y)), pack(z))) == t
+    assert sums > 0
+
+
+def test_supports_exactly_z_zk_and_lex_z_z():
+    class Lex(LexProduct):
+        pass
+
+    class Integers(IntegerGroup):
+        pass
+
+    for desc in ["Z", "Z^1", "Z^3", "lex(Z,Z)"]:
+        assert packed.supports(parse_group(desc)), desc
+    for desc in ["lex(Z^2,Z)", "lex(Z,Z^2)", "lex(Z^1,Z)", "prod(Z,Z)", "lex(lex(Z,Z),Z)",
+                 "lex(Z,lex(Z,Z))"]:
+        assert not packed.supports(parse_group(desc)), desc
+    Z = IntegerGroup()
+    assert not packed.supports(Lex(Z, Z))
+    assert not packed.supports(LexProduct(Integers(), Z))
+    assert not packed.supports(LexProduct(Z, Integers()))
 
 
 def test_embed_sweep_catches_a_wrong_kite_sum_unaided(monkeypatch):
