@@ -210,11 +210,9 @@ def check_pea_axioms(A: KiteAlgebra, sample: list[KiteElement], seed: int = 0,
     triple_cap bounds the table.  When triples are drawn, each sum is
     computed where it is read, so memory stays linear in the sample.
 
-    A KiteAlgebra over Z, Z^k or lex(Z,Z), on a sample of its members, runs
-    the same checks on the sample packed into ints (kitealg.packed; a
-    lex(Z,Z) pair (a, b) packs as the Z scalar a*M + b), once a seeded
-    sample of triples has given the same results through the kite's own
-    operations; packed witnesses are decoded to elements.
+    A KiteAlgebra over a built-in lattice, on a sample of its members, runs
+    the same checks packed into ints (kitealg.packed) once a seeded sample of
+    triples agrees with the kite's own operations; witnesses are decoded.
     """
     if type(A) is KiteAlgebra and packed.supports(A.G) and all(map(A.is_member, sample)):
         P = packed.Packing(A.G, A.sys.n, packed.coordinate_bound(A.G, (x.coords for x in sample)),

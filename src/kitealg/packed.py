@@ -1,9 +1,11 @@
-"""Packed integers for kites and their intervals over Z, Z^k and lex(Z,Z).
+"""Packed integers for kites and their intervals over the built-in lattices.
 
-Every scalar coordinate sits in a W-bit offset-binary field: a value c is
-stored as c + B with B = 2**(W-2), and the top bit of each field is
-headroom.  An element with n coordinates in Z^k is one int made of three
-segments of n*k fields plus two tag bits each:
+`layout` embeds each built-in lattice in some Z^k, order and operation
+alike, by one rule: Z^k is k fields, prod(X, Y) is X's fields then Y's, and
+lex(X, Y) over a chain X (one field x) is x*M + y for each field y of Y.
+A field is W bits of offset binary: a value c is stored as c + B with
+B = 2**(W-2), and the top bit is headroom.  An element with n coordinates
+in Z^k is one int of three segments of n*k fields plus two tag bits each:
 
     plain | lam_inv-twisted << S | rho_inv-twisted << 2S
 
@@ -13,26 +15,20 @@ its twists stored, a mixed sum is one add and one cone mask test, a Lower +
 Lower sum is one add of whole ints, and Upper + Upper is told by the tag
 bits adding up to 2.  Order and differences are a subtraction and a mask.
 
-A `Packing` offers the operations the axiom, embedding and subdirect
-checkers call on a kite (`add`, `leq`, both differences and complements,
-`one`, `zero`), over these ints.  The same ints serve the interval
-Gamma(W, u) of the po-loop, a Lower element at level 0 and an Upper one at
-level 1: `product` is the loop product of two of them, spelled from the
-loop's rule on levels rather than the kite's on tags.
-
-A lex(Z,Z) element (a, b) packs as the scalar a*M + b of Z.  While |b| < M
-that map is an order embedding and a homomorphism, so a lex(Z,Z) kite packs
-as a Z kite; M exceeds every second coordinate the kernel forms.
+A `Packing` offers the kite operations that the axiom, embedding and
+subdirect checkers call, over these ints.  They also serve the interval
+Gamma(W, u) of the po-loop, Lower at level 0 and Upper at level 1: `product`
+is the loop product, spelled from the loop's rule on levels, not on tags.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import operator
 import random
 
 from kitealg.indexsys import perm_inverse
-from kitealg.pogroup import IntegerGroup, LexProduct, VectorGroup
+from kitealg.pogroup import DirectProduct, IntegerGroup, LexProduct, VectorGroup
 from kitealg.verdict import sweep
 
 # each kernel sweep re-runs this many of its tuples (all of them when there
@@ -41,30 +37,44 @@ RECHECK = 256
 RECHECK_SEED = 20130829
 
 
+def layout(G, bound: int):
+    """(fields, scalar bound, to_fields, from_fields): G's order embedding
+    and homomorphism into Z^fields, the fields of an element with scalars
+    within bound being within the scalar bound; None off the built-in
+    lattices, matched exactly, as a subclass may change the arithmetic."""
+    if type(G) is IntegerGroup:
+        return 1, bound, lambda a: (a,), operator.itemgetter(0)
+    if type(G) is VectorGroup:
+        return G.k, bound, tuple, tuple
+    if type(G) not in (DirectProduct, LexProduct):
+        return None
+    left, right = layout(G.left, bound), layout(G.right, bound)
+    if left is None or right is None or type(G) is LexProduct and left[0] != 1:
+        return None
+    (kx, bx, to_x, from_x), (ky, by, to_y, from_y) = left, right
+    if type(G) is DirectProduct:
+        return (kx + ky, max(bx, by), lambda a: to_x(a[0]) + to_y(a[1]),
+                lambda f: (from_x(f[:kx]), from_y(f[kx:])))
+    # the three-fold sums and differences the kernel forms keep |y| <= 3 * by <= h
+    M, h = 8 * by + 1, 4 * by
+    return (ky, bx * M + by, lambda a: tuple(to_x(a[0])[0] * M + y for y in to_y(a[1])),
+            lambda f: (from_x(((f[0] + h) // M,)), from_y(tuple((y + h) % M - h for y in f))))
+
+
 def supports(G) -> bool:
-    """Z, Z^k and lex(Z,Z) exactly: a subclass may change the arithmetic."""
-    return type(G) in (IntegerGroup, VectorGroup) or type(G) is LexProduct and (
-        type(G.left) is type(G.right) is IntegerGroup)
+    """G packs: it is a built-in lattice."""
+    return layout(G, 0) is not None
 
 
 def field_width(bound: int) -> int:
-    """Bits per field for scalars of absolute value at most bound: the bias
-    exceeds 8 * bound, so sums and differences of up to three box values,
-    plus the mask offsets, never leave their field."""
+    """Bits per field for scalars within bound: the bias exceeds 8 * bound, so
+    sums and differences of up to three, plus mask offsets, stay in the field."""
     return (8 * bound).bit_length() + 2
-
-
-def multiplier(bound: int) -> int:
-    """M for lex(Z,Z) pairs of absolute values at most bound: a sum or
-    difference of up to three box values keeps |b| <= 3 * bound < M."""
-    return 8 * bound + 1
 
 
 def coordinate_bound(G, coord_tuples) -> int:
     """The largest absolute scalar in the given coordinate tuples."""
-    flat = type(G) is IntegerGroup
-    return max((abs(s) for cs in coord_tuples
-                for s in (cs if flat else itertools.chain.from_iterable(cs))), default=0)
+    return max((abs(s) for cs in coord_tuples for c in cs for s in G.encode(c)), default=0)
 
 
 def twist(segment: int, src, width: int) -> int:
@@ -82,7 +92,7 @@ def recheck_tuples(size: int, arity: int):
 
 
 class Packing:
-    """Packed elements with n coordinates in G (Z, Z^k or lex(Z,Z)), every
+    """Packed elements with n coordinates in a built-in lattice G, every
     scalar of absolute value at most bound; sums of up to three of them, and
     their differences, stay exact.  The differences take members of the kite
     (Lower coordinates positive, Upper ones negative), for which the object
@@ -92,21 +102,22 @@ class Packing:
     The permutations lam_src and rho_src name the coordinate that the
     lam_inv- and rho_inv-twisted segments carry at each position.  `add`
     reads them as the kite's twists, `product` as the loop's lam^-1 and
-    rho^-1.  The operations are closures over the layout's constants, so a
+    rho^-1.  The operations are closures over the packing's constants, so a
     sweep calls them without attribute lookups.
     """
 
     def __init__(self, G, n: int, bound: int, lam_src, rho_src):
-        self.flat = type(G) is not VectorGroup
-        self.k = k = 1 if self.flat else G.k
-        self.M = M = multiplier(bound) if type(G) is LexProduct else 0
-        self.w = w = field_width(bound * (M + 1) if M else bound)
+        self.k, scalar_bound, to_fields, self.from_fields = layout(G, bound)
+        self.w = w = field_width(scalar_bound)
         self.bias = B = 1 << (w - 2)
-        fields = n * k
-        self.shifts = [w * f for f in range(fields)]
-        ones = sum(1 << s for s in self.shifts)
+        fields = n * self.k
+        self.shifts = shifts = [w * f for f in range(fields)]
+        ones = sum(1 << s for s in shifts)
         BIAS, HI, NEG = B * ones, 2 * B * ones, (B - 1) * ones
-        self.block = block = k * w
+        self.block = block = self.k * w
+        # a coordinate's fields as one int, memoised: a box repeats few coordinates
+        self.coord = functools.cache(lambda c: sum(map(operator.lshift, to_fields(c), shifts)))
+        self.coord_shifts = shifts[::self.k]
         self.TAG = TAG = 1 << (fields * w)
         TAG2 = 2 * TAG
         self.S = S = fields * w + 2
@@ -187,22 +198,14 @@ class Packing:
 
     def pack(self, upper: bool, coords) -> int:
         """The element with these n coordinates, Upper (level 1) or Lower."""
-        M = self.M
-        scalars = ([a * M + b for a, b in coords] if M else
-                   coords if self.flat else itertools.chain.from_iterable(coords))
-        plain = self.BIAS + sum(map(operator.lshift, scalars, self.shifts))
+        plain = self.BIAS + sum(map(operator.lshift, map(self.coord, coords), self.coord_shifts))
         return (plain + self.TAG) * self.REP if upper else self.lower(plain)
 
     def decode(self, v: int) -> tuple[bool, tuple]:
         """(upper, coords) of a packed element."""
         mask = (1 << self.w) - 1
-        scalars = [(v >> s & mask) - self.bias for s in self.shifts]
-        if self.M:
-            h = self.M // 2
-            scalars = [(a, b - h) for a, b in (divmod(s + h, self.M) for s in scalars)]
-        elif not self.flat:
-            scalars = [tuple(scalars[i:i + self.k]) for i in range(0, len(scalars), self.k)]
-        return bool(v & self.TAG), tuple(scalars)
+        scalars = iter([(v >> s & mask) - self.bias for s in self.shifts])
+        return bool(v & self.TAG), tuple(map(self.from_fields, zip(*[scalars] * self.k)))
 
     def restriction(self, lower_positions, upper_positions):
         """The map of an element to its restriction: a Lower one keeps its

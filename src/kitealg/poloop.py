@@ -297,11 +297,10 @@ def embed_kite(A: KiteAlgebra, bound: int = 2) -> Verdict:
     definedness and value of + on the box pairs: all of them up to 600,000,
     else 40,000 seeded draws.
 
-    A KiteAlgebra over Z, Z^k or lex(Z,Z) sweeps its box packed into ints
-    (kitealg.packed), where an element is its own image: the kite sum against
-    the loop product rule, and the packed order against the existence of a
-    packed difference, once a seeded sample of pairs has tied them to the
-    kite, the loop and the interval."""
+    A KiteAlgebra over a built-in lattice sweeps its box packed into ints
+    (kitealg.packed), each element its own image: the kite sum against the
+    loop product, and the order against the existence of a difference, once
+    a seeded sample of pairs has tied them to the kite, loop and interval."""
     W = PoLoop(A.G, A.sys)
     gamma = GammaInterval(W)
     kite_box = list(A.enumerate_box(bound))

@@ -157,11 +157,10 @@ def _check_projection_hom(A, kernels, targets, box, table, pair_cap, bound) -> V
 
     The sum checks share one seeded stream of index pairs: each kite sum is
     computed and projected once and checked on every component, and the
-    first failing (pair, component) in stream order is the witness.  For a
-    KiteAlgebra over Z, Z^k or lex(Z,Z), box at this bound, the stream runs
-    over packed ints: A's sum, masked to each component's fields, against
-    that component's own sum on its elements packed at A's positions, once
-    a seeded sample of pairs has agreed with the kites and project_component.
+    first failing (pair, component) in stream order is the witness.  Over a
+    built-in lattice, box at this bound, the stream runs on packed ints: A's
+    sum masked to each component's fields against the component's own sum,
+    once a seeded sample of pairs agrees with the kites and projections.
     """
     checked = 0
     for k, target, row in zip(kernels, targets, table):

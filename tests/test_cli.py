@@ -471,10 +471,33 @@ REPORT_SHA256 = {
 }
 
 
+# The same over groups whose axiom, embed and subdirect sweeps ran on
+# objects until the packed kernel's one layout came to cover every built-in
+# lattice; the hashes were taken on the object path.
+LAYOUT_SHA256 = {
+    ("cycles-3", "prod(Z,Z)", 60):
+        "925bd226d67191a30da7adfe80479a7f4a8f560883aa515fcfcde8f11dd55f2e",
+    ("cycles-3", "lex(Z,Z^2)", 60):
+        "c28fc776598581d1e54fec700bcfa57612b0e34151485686e66a8a146f918a9f",
+    ("cycles-3", "lex(lex(Z,Z),Z)", 60):
+        "7482d8c99d814c2d3ff28adc015b81beced0215612a72b158ae299ef08e08a1f",
+}
+
+
+def _report_sha256(lam, rho, group, samples):
+    spec = parse_spec(f"group = {group}\nn = {len(lam)}\nlambda = {lam}\nrho = {rho}\n"
+                      f"bound = 1\nsamples = {samples}\n")
+    text = json.dumps(run_suite(spec, "all"), indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name, group, samples", sorted(REPORT_SHA256))
 def test_paper_system_reports_are_pinned(name, group, samples):
     lam, rho = PAPER_SYSTEMS[name]
-    spec = parse_spec(f"group = {group}\nn = 4\nlambda = {lam}\nrho = {rho}\n"
-                      f"bound = 1\nsamples = {samples}\n")
-    text = json.dumps(run_suite(spec, "all"), indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name, group, samples]
+    assert _report_sha256(lam, rho, group, samples) == REPORT_SHA256[name, group, samples]
+
+
+@pytest.mark.parametrize("name, group, samples", sorted(LAYOUT_SHA256))
+def test_reports_over_every_layout_are_pinned(name, group, samples):
+    lam, rho = {"cycles-3": ([2, 3, 1], [3, 1, 2])}[name]
+    assert _report_sha256(lam, rho, group, samples) == LAYOUT_SHA256[name, group, samples]
