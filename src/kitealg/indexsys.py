@@ -175,20 +175,20 @@ def check_component_laws(sys: IndexSystem) -> Verdict:
         pre_l = perm_image(lam_inv, C)
         pre_r = perm_image(rho_inv, C)
         if pre_l != pre_r:
-            return Verdict.failure(("preimage", sorted(C)), checked,
+            return Verdict.failure(("preimage", _one_based(C)), checked,
                                    "lambda^-1(C) != rho^-1(C)")
         if perm_image(lam, pre_r) != C or perm_image(rho, pre_l) != C:
-            return Verdict.failure(("roundtrip", sorted(C)), checked)
+            return Verdict.failure(("roundtrip", _one_based(C)), checked)
     for i in range(sys.n):
         checked += 1
         if not conn(lam[i], rho[i]):
-            return Verdict.failure(("lam-rho-connected", i), checked)
+            return Verdict.failure(("lam-rho-connected", i + 1), checked)
 
     # dual-connectivity properties, as stated (disjunctions checked verbatim)
     for i in range(sys.n):
         checked += 1
         if not dconn(lam_inv[i], rho_inv[i]):
-            return Verdict.failure(("dual-i", i), checked)
+            return Verdict.failure(("dual-i", i + 1), checked)
     for i, j in itertools.product(range(sys.n), repeat=2):
         checked += 1
         if i != j and dconn(i, j):
@@ -196,16 +196,16 @@ def check_component_laws(sys: IndexSystem) -> Verdict:
             # of a dually connected pair are pairwise connected
             im = (lam[i], lam[j], rho[i], rho[j])
             if not all(conn(a, b) for a, b in itertools.combinations(im, 2)):
-                return Verdict.failure(("dual-ii", i, j), checked)
+                return Verdict.failure(("dual-ii", i + 1, j + 1), checked)
         if dconn(i, j):
             if not (conn(lam[i], rho[j]) or conn(rho[i], lam[j])):
-                return Verdict.failure(("dual-iii", i, j), checked)
+                return Verdict.failure(("dual-iii", i + 1, j + 1), checked)
         if conn(i, j):
             # conjugation identity: lam^-1 . sigma^m . lam = tau^-m, so all
             # four preimages of a connected pair are pairwise dually connected
             pre = (lam_inv[i], lam_inv[j], rho_inv[i], rho_inv[j])
             if not all(dconn(a, b) for a, b in itertools.combinations(pre, 2)):
-                return Verdict.failure(("dual-iv", i, j), checked)
+                return Verdict.failure(("dual-iv", i + 1, j + 1), checked)
     return Verdict.passed(checked)
 
 
@@ -220,21 +220,17 @@ def validate_decomposition(sys: IndexSystem, blocks) -> Verdict:
     for b in blocks:
         lr = perm_image(sys.lam, perm_image(sys.rho, b))
         rl = perm_image(sys.rho, perm_image(sys.lam, b))
+        lam_b, rho_b = perm_image(sys.lam, b), perm_image(sys.rho, b)
         if lr != rl:
             verdicts.append(Verdict.failure(
-                ("commute", sorted(b), sorted(lr), sorted(rl)), 1,
+                ("commute", *map(_one_based, (b, lr, rl))), 1,
                 f"lam.rho{_fmt(b)} = {_fmt(lr)} != rho.lam{_fmt(b)} = {_fmt(rl)}"))
-            continue
-        bad = None
-        lam_b, rho_b = perm_image(sys.lam, b), perm_image(sys.rho, b)
-        if lam_b not in block_set:
-            bad = ("lambda-image", sorted(b), sorted(lam_b))
-        elif rho_b not in block_set:
-            bad = ("rho-image", sorted(b), sorted(rho_b))
-        if bad is not None:
-            verdicts.append(Verdict.failure(bad, 1, f"image of {_fmt(b)} is not a block"))
-        else:
+        elif lam_b in block_set and rho_b in block_set:
             verdicts.append(Verdict.passed(1))
+        else:
+            kind, image = ("rho-image", rho_b) if lam_b in block_set else ("lambda-image", lam_b)
+            verdicts.append(Verdict.failure((kind, _one_based(b), _one_based(image)), 1,
+                                            f"image of {_fmt(b)} is not a block"))
     return merge(verdicts)
 
 
@@ -252,9 +248,13 @@ def check_mixed_commutation(sys: IndexSystem, blocks, rng: int) -> Verdict:
                 checked += 1
                 if perm_image(lam_m, perm_image(rho_n, b)) != \
                         perm_image(rho_n, perm_image(lam_m, b)):
-                    return Verdict.failure((m, n, sorted(b)), checked)
+                    return Verdict.failure((m, n, _one_based(b)), checked)
     return Verdict.passed(checked)
 
 
+def _one_based(block: frozenset[int]) -> list[int]:
+    return sorted(i + 1 for i in block)
+
+
 def _fmt(block: frozenset[int]) -> str:
-    return "{" + ",".join(str(i + 1) for i in sorted(block)) + "}"
+    return "{" + ",".join(map(str, _one_based(block))) + "}"

@@ -212,7 +212,9 @@ def check_pea_axioms(A: KiteAlgebra, sample: list[KiteElement], seed: int = 0,
 
     A KiteAlgebra over a built-in lattice, on a sample of its members, runs
     the same checks packed into ints (kitealg.packed) once a seeded sample of
-    triples agrees with the kite's own operations; witnesses are decoded.
+    triples agrees with the kite's own operations.  Witnesses name sample
+    elements; axiom (ii)'s (a, x) names an x that completes a to 1 but is
+    not its complement.
     """
     if type(A) is KiteAlgebra and packed.supports(A.G) and all(map(A.is_member, sample)):
         P = packed.Packing(A.G, A.sys.n, packed.coordinate_bound(A.G, (x.coords for x in sample)),
@@ -223,8 +225,8 @@ def check_pea_axioms(A: KiteAlgebra, sample: list[KiteElement], seed: int = 0,
             want = [packed_element(P, r) for r in _axiom_probe(A, *triple)]
             if _axiom_probe(P, *(values[i] for i in t)) != want:
                 return kernel_disagreement(triple)
-        return decoded(P, _pea_axioms(P, values, seed, triple_cap, pair_cap, draws))
-    return _pea_axioms(A, sample, seed, triple_cap, pair_cap, draws)
+        return named(_pea_axioms(P, values, seed, triple_cap, pair_cap, draws), sample)
+    return named(_pea_axioms(A, sample, seed, triple_cap, pair_cap, draws), sample)
 
 
 def packed_element(P: packed.Packing, x):
@@ -232,13 +234,11 @@ def packed_element(P: packed.Packing, x):
     return None if x is None else P.pack(x.tag == UPPER, x.coords)
 
 
-def decoded(P: packed.Packing, v: Verdict) -> Verdict:
-    """v with the packed elements in its witnesses decoded."""
-    def element(w):
-        upper, coords = P.decode(w)
-        return KiteElement(UPPER if upper else LOWER, coords)
+def named(v: Verdict, items) -> Verdict:
+    """v with each int in its witnesses replaced by items[int]: every int in a
+    sweep's witness is a position in items (labels are str, components tuples)."""
     return replace(v, witnesses=tuple(
-        tuple(element(w) if type(w) is int else w for w in witness)
+        tuple(items[w] if type(w) is int else w for w in witness)
         for witness in v.witnesses))
 
 
@@ -260,7 +260,7 @@ def _axiom_probe(X, a, b, c) -> list:
 
 
 def _pea_axioms(A, sample, seed, triple_cap, pair_cap, draws) -> Verdict:
-    """check_pea_axioms on A's operations: a kite's, or its packing's."""
+    """check_pea_axioms on A's operations, a kite's or its packing's; witnesses are positions."""
     rng = random.Random(seed)
     add, one, zero = A.add, A.one, A.zero
     n = len(sample)
@@ -275,25 +275,25 @@ def _pea_axioms(A, sample, seed, triple_cap, pair_cap, draws) -> Verdict:
     for i, a in enumerate(sample):
         d, e = A.complement_tilde(a), A.complement_minus(a)
         if add(a, d) != one or add(e, a) != one:
-            return Verdict.failure(("axiom-ii-closed-form", a), checked)
+            return Verdict.failure(("axiom-ii-closed-form", i), checked)
         if rows is None:
             right = [add(a, x) for x in sample]
             left = [add(x, a) for x in sample]
         else:
             right = rows[i]
             left = [row[i] for row in rows]
-        for x, ax, xa in zip(sample, right, left):
+        for j, x, ax, xa in zip(indices, sample, right, left):
             if ax == one and x != d:
-                return Verdict.failure(("axiom-ii-right-unique", a, x, d), checked)
+                return Verdict.failure(("axiom-ii-right-unique", i, j), checked)
             if xa == one and x != e:
-                return Verdict.failure(("axiom-ii-left-unique", a, x, e), checked)
+                return Verdict.failure(("axiom-ii-left-unique", i, j), checked)
         checked += n + 1
 
     # (iv) only 0 adds with 1
-    for a in sample:
+    for i, a in enumerate(sample):
         checked += 1
         if (add(one, a) is not None or add(a, one) is not None) and a != zero:
-            return Verdict.failure(("axiom-iv", a), checked)
+            return Verdict.failure(("axiom-iv", i), checked)
 
     # (iii) every defined sum decomposes from both sides; sweeping indices
     # draws the same stream as sweeping the sample itself
@@ -306,7 +306,7 @@ def _pea_axioms(A, sample, seed, triple_cap, pair_cap, draws) -> Verdict:
         d = A.diff_left(s, a)   # s = d + a
         e = A.diff_right(b, s)  # s = b + e
         if d is None or e is None:
-            return Verdict.failure(("axiom-iii", a, b), checked)
+            return Verdict.failure(("axiom-iii", i, j), checked)
 
     # (i) associativity with definedness, both directions
     exhaustive, triples = sweep(indices, 3, triple_cap, draws, rng)
@@ -320,22 +320,30 @@ def _pea_axioms(A, sample, seed, triple_cap, pair_cap, draws) -> Verdict:
         left = add(ab, c) if ab is not None else None
         right = add(a, bc) if bc is not None else None
         if left != right:  # None differs from every element
-            return Verdict.failure(("axiom-i", a, b, c), checked)
+            return Verdict.failure(("axiom-i", i, j, k), checked)
 
     mode = "exhaustive triples" if exhaustive else f"{draws} sampled triples"
     return Verdict.passed(checked, detail=mode)
 
 
 def check_commutativity(A: KiteAlgebra, sample: list[KiteElement]) -> Verdict:
-    """PASS when + is commutative on all sample pairs (definedness included);
-    FAIL carries the first non-commutativity witness."""
+    """PASS when + is commutative on all sample pairs (definedness included)
+    and lam = rho.  FAIL carries the first witness pair, else the first j
+    (1-based) with lam(j) != rho(j): for any g > e, L[g at j] + U[g^-1
+    everywhere] is defined both ways, and the sums differ, as x + y reads g
+    through lam^-1 and y + x through rho^-1."""
     checked = 0
     for x, y in itertools.combinations(sample, 2):
         checked += 1
         if A.add(x, y) != A.add(y, x):
             return Verdict.failure((x, y), checked,
                                    f"{x}+{y} = {A.add(x, y)} but {y}+{x} = {A.add(y, x)}")
-    return Verdict.passed(checked, detail="commutative on sample")
+    lam, rho = A.sys.one_based()
+    j = next((j for j in range(A.sys.n) if lam[j] != rho[j]), None)
+    if j is None:
+        return Verdict.passed(checked, detail="commutative on sample")
+    return Verdict.failure(("coordinate", j + 1), checked, f"lambda({j + 1}) = {lam[j]} but "
+                           f"rho({j + 1}) = {rho[j]}; no sample pair is a witness")
 
 
 def _refine(A: KiteAlgebra, a1, a2, b1, b2, c11):
@@ -406,14 +414,14 @@ def check_kite_rdp(A: KiteAlgebra, sample: list[KiteElement],
 
     A missing refinement is INCONCLUSIVE (bounded search), not a refutation.
     Above quad_cap, quad_cap positions of the quadruple box are drawn and
-    decoded one at a time, so no list of quadruples is held.
+    read one at a time, so no list of quadruples is held.
     """
     box = quadruple_box(sum_classes(A, sample))
     if len(box) <= quad_cap:
         quads = rdp_quadruples(A, sample, box)
     else:
         # the positions random.sample would pick from list(box), each
-        # decoded when it is read
+        # built when it is read
         rng = random.Random(seed)
         quads = map(box.__getitem__, rng.sample(range(len(box)), quad_cap))
     checked, found, witnesses = min(len(box), quad_cap), 0, []

@@ -19,6 +19,8 @@ A `Packing` offers the kite operations that the axiom, embedding and
 subdirect checkers call, over these ints.  They also serve the interval
 Gamma(W, u) of the po-loop, Lower at level 0 and Upper at level 1: `product`
 is the loop product, spelled from the loop's rule on levels, not on tags.
+The kernel only encodes: a sweep over packed values names a witness's
+elements by position in the caller's list, and the caller names them.
 """
 
 from __future__ import annotations
@@ -38,38 +40,30 @@ RECHECK_SEED = 20130829
 
 
 def layout(G, bound: int):
-    """(fields, scalar bound, to_fields, from_fields): G's order embedding
-    and homomorphism into Z^fields, the fields of an element with scalars
-    within bound being within the scalar bound; None off the built-in
-    lattices, matched exactly, as a subclass may change the arithmetic."""
+    """(fields, scalar bound, to_fields): G's order embedding and
+    homomorphism into Z^fields, the fields of an element with scalars within
+    bound being within the scalar bound; None off the built-in lattices,
+    matched exactly, as a subclass may change the arithmetic."""
     if type(G) is IntegerGroup:
-        return 1, bound, lambda a: (a,), operator.itemgetter(0)
+        return 1, bound, lambda a: (a,)
     if type(G) is VectorGroup:
-        return G.k, bound, tuple, tuple
+        return G.k, bound, tuple
     if type(G) not in (DirectProduct, LexProduct):
         return None
     left, right = layout(G.left, bound), layout(G.right, bound)
     if left is None or right is None or type(G) is LexProduct and left[0] != 1:
         return None
-    (kx, bx, to_x, from_x), (ky, by, to_y, from_y) = left, right
+    (kx, bx, to_x), (ky, by, to_y) = left, right
     if type(G) is DirectProduct:
-        return (kx + ky, max(bx, by), lambda a: to_x(a[0]) + to_y(a[1]),
-                lambda f: (from_x(f[:kx]), from_y(f[kx:])))
-    # the three-fold sums and differences the kernel forms keep |y| <= 3 * by <= h
-    M, h = 8 * by + 1, 4 * by
-    return (ky, bx * M + by, lambda a: tuple(to_x(a[0])[0] * M + y for y in to_y(a[1])),
-            lambda f: (from_x(((f[0] + h) // M,)), from_y(tuple((y + h) % M - h for y in f))))
+        return kx + ky, max(bx, by), lambda a: to_x(a[0]) + to_y(a[1])
+    # the three-fold sums and differences the kernel forms keep |y| <= 3 * by < M / 2
+    M = 8 * by + 1
+    return ky, bx * M + by, lambda a: tuple(to_x(a[0])[0] * M + y for y in to_y(a[1]))
 
 
 def supports(G) -> bool:
     """G packs: it is a built-in lattice."""
     return layout(G, 0) is not None
-
-
-def field_width(bound: int) -> int:
-    """Bits per field for scalars within bound: the bias exceeds 8 * bound, so
-    sums and differences of up to three, plus mask offsets, stay in the field."""
-    return (8 * bound).bit_length() + 2
 
 
 def coordinate_bound(G, coord_tuples) -> int:
@@ -103,21 +97,23 @@ class Packing:
     lam_inv- and rho_inv-twisted segments carry at each position.  `add`
     reads them as the kite's twists, `product` as the loop's lam^-1 and
     rho^-1.  The operations are closures over the packing's constants, so a
-    sweep calls them without attribute lookups.
+    sweep calls them without attribute lookups.  `pack` has no inverse.
     """
 
     def __init__(self, G, n: int, bound: int, lam_src, rho_src):
-        self.k, scalar_bound, to_fields, self.from_fields = layout(G, bound)
-        self.w = w = field_width(scalar_bound)
-        self.bias = B = 1 << (w - 2)
-        fields = n * self.k
-        self.shifts = shifts = [w * f for f in range(fields)]
+        k, scalar_bound, to_fields = layout(G, bound)
+        # the bias exceeds 8 * scalar_bound, so sums and differences of up to
+        # three, plus mask offsets, stay in the field
+        w = (8 * scalar_bound).bit_length() + 2
+        B = 1 << (w - 2)
+        fields = n * k
+        shifts = [w * f for f in range(fields)]
         ones = sum(1 << s for s in shifts)
         BIAS, HI, NEG = B * ones, 2 * B * ones, (B - 1) * ones
-        self.block = block = self.k * w
+        self.block = block = k * w
         # a coordinate's fields as one int, memoised: a box repeats few coordinates
         self.coord = functools.cache(lambda c: sum(map(operator.lshift, to_fields(c), shifts)))
-        self.coord_shifts = shifts[::self.k]
+        self.coord_shifts = shifts[::k]
         self.TAG = TAG = 1 << (fields * w)
         TAG2 = 2 * TAG
         self.S = S = fields * w + 2
@@ -200,12 +196,6 @@ class Packing:
         """The element with these n coordinates, Upper (level 1) or Lower."""
         plain = self.BIAS + sum(map(operator.lshift, map(self.coord, coords), self.coord_shifts))
         return (plain + self.TAG) * self.REP if upper else self.lower(plain)
-
-    def decode(self, v: int) -> tuple[bool, tuple]:
-        """(upper, coords) of a packed element."""
-        mask = (1 << self.w) - 1
-        scalars = iter([(v >> s & mask) - self.bias for s in self.shifts])
-        return bool(v & self.TAG), tuple(map(self.from_fields, zip(*[scalars] * self.k)))
 
     def restriction(self, lower_positions, upper_positions):
         """The map of an element to its restriction: a Lower one keeps its

@@ -28,8 +28,8 @@ from kitealg.kite import (
     LOWER,
     KiteAlgebra,
     KiteElement,
-    decoded,
     kernel_disagreement,
+    named,
     packed_element,
 )
 from kitealg.pogroup import PoGroup
@@ -157,13 +157,13 @@ def _generic_defect(sys: IndexSystem, owner):
     lam^c and rho^a (c, a the levels of r and p) do not commute on the
     classes of owner, which the twists permute, so levels in {-1, 0, 1}
     decide every level.  The defect is None, or the first failing levels, a
-    coordinate i and a letter (k, s) of (pq)r[i] that p(qr)[i] lacks."""
+    coordinate i (1-based) and a letter (k, s) of (pq)r[i] that p(qr)[i] lacks."""
     F = PoLoop(_Words(), sys)
     for tried, levels in enumerate(itertools.product((-1, 0, 1), repeat=3), 1):
         p, q, r = (LoopElement(m, tuple(((k, c),) for c in owner)) for k, m in enumerate(levels))
         for i, (u, v) in enumerate(zip(F.mul(F.mul(p, q), r).coords, F.mul(p, F.mul(q, r)).coords)):
             if u != v:
-                return tried, (levels, i, next(s for s in u if s not in v))
+                return tried, (levels, i + 1, next(s for s in u if s not in v))
     return tried, None
 
 
@@ -295,7 +295,7 @@ def embed_kite(A: KiteAlgebra, bound: int = 2) -> Verdict:
     """Verify that phi is an isomorphism of partial algebras between the kite
     box and the interval box: bijective, preserves 0, 1, order, and the
     definedness and value of + on the box pairs: all of them up to 600,000,
-    else 40,000 seeded draws.
+    else 40,000 seeded draws; a pair witness names two kite box elements.
 
     A KiteAlgebra over a built-in lattice sweeps its box packed into ints
     (kitealg.packed), each element its own image: the kite sum against the
@@ -319,7 +319,8 @@ def embed_kite(A: KiteAlgebra, bound: int = 2) -> Verdict:
     checked += len(kite_box)
 
     if type(A) is not KiteAlgebra or not packed.supports(A.G):
-        return _embed_pairs(A, W.leq, gamma.add, embed_kite_element, kite_box, images, checked)
+        return named(_embed_pairs(A, W.leq, gamma.add, embed_kite_element, kite_box, images,
+                                  checked), kite_box)
     K = packed.Packing(A.G, A.sys.n, bound, A.sys.lam_inv, A.sys.rho_inv)
     xs = [packed_element(K, x) for x in kite_box]
     for i, j in packed.recheck_tuples(len(xs), 2):
@@ -334,13 +335,13 @@ def embed_kite(A: KiteAlgebra, bound: int = 2) -> Verdict:
         """p <= q read from the kite's own difference, not from the order on
         levels, then fields, that K.leq spells."""
         return K.diff_left(q, p) is not None
-    return decoded(K, _embed_pairs(K, interval_leq, K.product, lambda s: s, xs, xs, checked))
+    return named(_embed_pairs(K, interval_leq, K.product, lambda s: s, xs, xs, checked), kite_box)
 
 
 def _embed_pairs(K, interval_leq, interval_add, phi, xs, ps, checked) -> Verdict:
     """The pair sweep of embed_kite: K's order and sum on the kite items xs
     against the interval's on their images ps, phi mapping a kite sum to its
-    image."""
+    image; a witness names the pair's positions in xs."""
     draws = 40_000
     exhaustive, pairs = sweep(range(len(xs)), 2, 600_000, draws, random.Random(0))
     kite_leq, kite_add = K.leq, K.add
@@ -348,13 +349,13 @@ def _embed_pairs(K, interval_leq, interval_add, phi, xs, ps, checked) -> Verdict
         checked += 1
         x, y, px, py = xs[i], xs[j], ps[i], ps[j]
         if kite_leq(x, y) != interval_leq(px, py):
-            return Verdict.failure(("order", x, y), checked)
+            return Verdict.failure(("order", i, j), checked)
         s = kite_add(x, y)
         t = interval_add(px, py)
         if (s is None) != (t is None):
-            return Verdict.failure(("definedness", x, y), checked)
+            return Verdict.failure(("definedness", i, j), checked)
         if s is not None and phi(s) != t:
-            return Verdict.failure(("value", x, y), checked)
+            return Verdict.failure(("value", i, j), checked)
     return Verdict.passed(checked, detail="" if exhaustive else f"{draws} sampled pairs")
 
 

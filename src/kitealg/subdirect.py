@@ -19,8 +19,8 @@ from kitealg.kite import (
     LOWER,
     KiteAlgebra,
     KiteElement,
-    decoded,
     kernel_disagreement,
+    named,
     packed_element,
 )
 from kitealg.verdict import Verdict, merge, sweep
@@ -157,10 +157,10 @@ def _check_projection_hom(A, kernels, targets, box, table, pair_cap, bound) -> V
 
     The sum checks share one seeded stream of index pairs: each kite sum is
     computed and projected once and checked on every component, and the
-    first failing (pair, component) in stream order is the witness.  Over a
-    built-in lattice, box at this bound, the stream runs on packed ints: A's
-    sum masked to each component's fields against the component's own sum,
-    once a seeded sample of pairs agrees with the kites and projections.
+    first failing (pair, component) in stream order is the witness, its pair
+    named from the box.  Over a built-in lattice the stream runs on packed
+    ints: A's sum masked to each component's fields against the component's
+    own sum, once a seeded sample of pairs agrees with the kites and projections.
     """
     checked = 0
     for k, target, row in zip(kernels, targets, table):
@@ -177,7 +177,7 @@ def _check_projection_hom(A, kernels, targets, box, table, pair_cap, bound) -> V
     if type(A) is not KiteAlgebra or not packed.supports(A.G):
         parts = [(k.component, target.add, row, partial(project_component, A, k))
                  for k, target, row in zip(kernels, targets, table)]
-        return _sum_stream(A.add, box, parts, pair_cap, checked)
+        return named(_sum_stream(A.add, box, parts, pair_cap, checked), box)
 
     P = packed.Packing(A.G, A.sys.n, bound, A.sys.lam_inv, A.sys.rho_inv)
     values = [packed_element(P, x) for x in box]
@@ -196,7 +196,7 @@ def _check_projection_hom(A, kernels, targets, box, table, pair_cap, bound) -> V
                 wanted.append(pack(project_component(A, k, want)))
         if got != wanted:
             return kernel_disagreement((box[i], box[j]), checked)
-    return decoded(P, _sum_stream(P.add, values, parts, pair_cap, checked))
+    return named(_sum_stream(P.add, values, parts, pair_cap, checked), box)
 
 
 def _at_parent_positions(A, kernel, target, bound):
@@ -225,7 +225,7 @@ def _at_parent_positions(A, kernel, target, bound):
 def _sum_stream(add, items, parts, pair_cap, checked) -> Verdict:
     """The seeded pair stream of _check_projection_hom over items, with add;
     parts holds, per component, its label, its sum, its items and the
-    projection onto it."""
+    projection onto it.  A witness names the pair's positions in items."""
     for i, j in sweep(range(len(items)), 2, pair_cap, pair_cap, random.Random(0))[1]:
         s = add(items[i], items[j])
         if s is None:
@@ -235,7 +235,7 @@ def _sum_stream(add, items, parts, pair_cap, checked) -> Verdict:
             checked += 1
             t = target_add(row[i], row[j])
             if t is None or project(s) != t:
-                return Verdict.failure(("sum", component, items[i], items[j]), checked)
+                return Verdict.failure(("sum", component, i, j), checked)
     return Verdict.passed(checked)
 
 

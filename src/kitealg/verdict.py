@@ -53,13 +53,13 @@ class Verdict:
 
 
 def merge(verdicts: list[Verdict], detail: str = "") -> Verdict:
-    """Combine sub-verdicts: any FAIL wins, then any INCONCLUSIVE."""
+    """Any FAIL wins, then any INCONCLUSIVE; detail defaults to the winners' details joined."""
     checked = sum(v.checked for v in verdicts)
     witnesses = tuple(w for v in verdicts for w in v.witnesses)
-    if any(v.failed for v in verdicts):
-        return Verdict(FAIL, checked=checked, witnesses=witnesses, detail=detail)
-    if any(v.status == INCONCLUSIVE for v in verdicts):
-        return Verdict(INCONCLUSIVE, checked=checked, witnesses=witnesses, detail=detail)
+    for status in (FAIL, INCONCLUSIVE):
+        details = [v.detail for v in verdicts if v.status == status]
+        if details:
+            return Verdict(status, checked, witnesses, detail or "; ".join(filter(None, details)))
     return Verdict(PASS, checked=checked, detail=detail)
 
 

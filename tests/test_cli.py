@@ -248,6 +248,38 @@ class TestRunSuite:
         assert report["status"] == "FAIL"
         assert exit_code(report) == EXIT_FAIL
 
+    def test_decomposition_witness_is_one_based_with_its_detail(self):
+        # ex8.5: lam({1,4}) = {2,4} is not a block, and the merged entry keeps
+        # the failing blocks' details
+        spec = parse_spec("n=4 lambda=[2,3,1,4] rho=[1,3,4,2] blocks={1,4},{2,3} bound=1")
+        entry = run_suite(spec, "decomposition")["suites"]["decomposition"]
+        assert entry["blocks"] == [[1, 4], [2, 3]]
+        assert entry["witnesses"][0] == repr(("lambda-image", [1, 4], [2, 4]))
+        assert entry["detail"] == ("image of {1,4} is not a block; "
+                                   "image of {2,3} is not a block")
+
+    def test_bound_zero_loop_names_a_one_based_coordinate(self):
+        spec = parse_spec("n=4 lambda=[1,3,2,4] rho=[2,3,1,4] bound=0")
+        entry = run_suite(spec, "loop")["suites"]["loop"]
+        assert entry["associative"] is False
+        assert entry["witness"] == [repr(("levels", (-1, -1, -1), 1))]
+        assert "coordinate 1:" in entry["associativity_detail"]
+
+    # lam != rho decides non-commutativity when no sample pair is a witness
+    @pytest.mark.parametrize("text, checked, commutative", [
+        ("n=4 lambda=[1,3,2,4] rho=[2,3,1,4] bound=0", 1, False),
+        ("n=4 lambda=[1,3,2,4] rho=[2,3,1,4] bound=1 samples=2", 6, False),
+        ("n=3 lambda=[2,3,1] rho=[3,1,2] bound=2 samples=3", 10, False),
+        ("n=4 lambda=[2,1,4,3] rho=[2,1,4,3] bound=1 samples=3", 10, True),
+    ])
+    def test_commutativity_without_a_sample_witness(self, text, checked, commutative):
+        entry = run_suite(parse_spec(text), "commutativity")["suites"]["commutativity"]
+        assert entry["status"] == PASS and entry["checked"] == checked
+        assert entry["commutative"] is commutative
+        if not commutative:
+            assert entry["witness"] == [repr(("coordinate", 1))]
+            assert entry["detail"].endswith("no sample pair is a witness")
+
 
 def test_planted_kernel_fault_fails_the_subdirect_entry(monkeypatch):
     planted = Verdict.failure(("kernel-intersection", "planted"), 5, "planted fault")

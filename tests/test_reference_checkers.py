@@ -35,9 +35,9 @@ def reference_check_pea_axioms(A, sample, seed=0, triple_cap=600_000,
             return Verdict.failure(("axiom-ii-closed-form", a), checked)
         for x in sample:
             if add(a, x) == one and x != d:
-                return Verdict.failure(("axiom-ii-right-unique", a, x, d), checked)
+                return Verdict.failure(("axiom-ii-right-unique", a, x), checked)
             if add(x, a) == one and x != e:
-                return Verdict.failure(("axiom-ii-left-unique", a, x, e), checked)
+                return Verdict.failure(("axiom-ii-left-unique", a, x), checked)
         checked += len(sample) + 1
     for a in sample:
         checked += 1
