@@ -62,7 +62,7 @@ class KiteAlgebra:
         if len(x.coords) != self.sys.n:
             return False
         cone = self.G.is_positive if x.tag == LOWER else self.G.is_negative
-        return all(cone(c) for c in x.coords)
+        return all(map(cone, x.coords))
 
     def lower(self, *coords) -> KiteElement:
         return KiteElement(LOWER, tuple(coords))
@@ -102,14 +102,12 @@ class KiteAlgebra:
             if y.tag == LOWER:
                 return KiteElement(LOWER, self.G.op_each(x.coords, y.coords))
             # Lower + Upper, twisted by lambda
-            coords = self.G.op_each_negative(
-                map(x.coords.__getitem__, self.sys.lam_inv), y.coords)
+            coords = self.G.op_each(map(x.coords.__getitem__, self.sys.lam_inv), y.coords)
         elif y.tag == UPPER:
             return None
         else:  # Upper + Lower, twisted by rho
-            coords = self.G.op_each_negative(
-                x.coords, map(y.coords.__getitem__, self.sys.rho_inv))
-        return None if coords is None else KiteElement(UPPER, coords)
+            coords = self.G.op_each(x.coords, map(y.coords.__getitem__, self.sys.rho_inv))
+        return KiteElement(UPPER, coords) if all(map(self.G.is_negative, coords)) else None
 
     # -- complements and differences ---------------------------------------
 
@@ -136,38 +134,35 @@ class KiteAlgebra:
         return c
 
     def _solve_left(self, b, a):
+        """The candidate d for d + a = b, unchecked: b.a^-1 coordinatewise, each
+        coordinate read where the sum's twist puts it."""
         self._check(b)
         self._check(a)
         G, sys = self.G, self.sys
         if a.tag == LOWER and b.tag == LOWER:
-            return KiteElement(LOWER, tuple(G.op(y, G.inv(x))
-                                            for x, y in zip(a.coords, b.coords)))
-        if a.tag == LOWER and b.tag == UPPER:  # d Upper, case Upper+Lower
-            rho_inv = sys.rho_inv
-            return KiteElement(UPPER, tuple(
-                G.op(b.coords[i], G.inv(a.coords[rho_inv[i]])) for i in range(sys.n)))
-        if a.tag == UPPER and b.tag == UPPER:  # d Lower, case Lower+Upper
-            lam = sys.lam
-            return KiteElement(LOWER, tuple(
-                G.op(b.coords[lam[j]], G.inv(a.coords[lam[j]])) for j in range(sys.n)))
-        return None  # Upper below Lower never holds
+            tag, ac, bc = LOWER, a.coords, b.coords
+        elif a.tag == LOWER:  # d Upper, case Upper+Lower
+            tag, ac, bc = UPPER, map(a.coords.__getitem__, sys.rho_inv), b.coords
+        elif b.tag == UPPER:  # d Lower, case Lower+Upper
+            tag, (ac, bc) = LOWER, (map(x.coords.__getitem__, sys.lam) for x in (a, b))
+        else:
+            return None  # Upper below Lower never holds
+        return KiteElement(tag, G.op_each(bc, map(G.inv, ac)))
 
     def _solve_right(self, a, b):
+        """The candidate c for a + c = b, unchecked: a^-1.b, read through the sum's twist."""
         self._check(a)
         self._check(b)
         G, sys = self.G, self.sys
         if a.tag == LOWER and b.tag == LOWER:
-            return KiteElement(LOWER, tuple(G.op(G.inv(x), y)
-                                            for x, y in zip(a.coords, b.coords)))
-        if a.tag == UPPER and b.tag == UPPER:  # c Lower, case Upper+Lower
-            rho = sys.rho
-            return KiteElement(LOWER, tuple(
-                G.op(G.inv(a.coords[rho[j]]), b.coords[rho[j]]) for j in range(sys.n)))
-        if a.tag == LOWER and b.tag == UPPER:  # c Upper, case Lower+Upper
-            lam_inv = sys.lam_inv
-            return KiteElement(UPPER, tuple(
-                G.op(G.inv(a.coords[lam_inv[i]]), b.coords[i]) for i in range(sys.n)))
-        return None
+            tag, ac, bc = LOWER, a.coords, b.coords
+        elif a.tag == LOWER:  # c Upper, case Lower+Upper
+            tag, ac, bc = UPPER, map(a.coords.__getitem__, sys.lam_inv), b.coords
+        elif b.tag == UPPER:  # c Lower, case Upper+Lower
+            tag, (ac, bc) = LOWER, (map(x.coords.__getitem__, sys.rho) for x in (a, b))
+        else:
+            return None
+        return KiteElement(tag, G.op_each(map(G.inv, ac), bc))
 
     # -- meets (for the RDP2 side condition) --------------------------------
 
@@ -236,7 +231,7 @@ def packed_element(P: packed.Packing, x):
 
 def named(v: Verdict, items) -> Verdict:
     """v with each int in its witnesses replaced by items[int]: every int in a
-    sweep's witness is a position in items (labels are str, components tuples)."""
+    sweep's witness is a position in items (labels are str, components lists)."""
     return replace(v, witnesses=tuple(
         tuple(items[w] if type(w) is int else w for w in witness)
         for witness in v.witnesses))

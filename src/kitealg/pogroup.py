@@ -29,11 +29,11 @@ class PoGroup:
 
     Subclasses supply the carrier: ``identity``, and ``op``, ``inv`` and
     ``leq`` as ordinary methods (perfbench/tracing.py wraps them as plain
-    functions).  The cone tests ``is_positive``/``is_negative`` and the
-    whole-tuple operations ``op_each``/``op_each_negative`` have generic
-    defaults built on those; a group overrides them only for speed, and the
-    overrides must agree with the defaults.  Instances are immutable and all
-    operations are pure, so they are safe to share between workers.
+    functions).  The cone tests ``is_positive``/``is_negative`` and the one
+    whole-tuple operation, ``op_each``, have generic defaults built on those;
+    a group overrides them only for speed, and the overrides must agree with
+    the defaults.  Instances are immutable and all operations are pure, so
+    they are safe to share between workers.
     """
 
     name = "po-group"
@@ -83,22 +83,10 @@ class PoGroup:
         return ([g for g in box if self.is_positive(g)],
                 [g for g in box if self.is_negative(g)])
 
-    # Whole-tuple operations on coordinate sequences of equal length.
-
     def op_each(self, xs, ys) -> tuple:
-        """The coordinatewise products (x_i y_i)."""
+        """The coordinatewise products (x_i y_i) of two coordinate sequences
+        of equal length."""
         return tuple(map(self.op, xs, ys))
-
-    def op_each_negative(self, xs, ys) -> tuple | None:
-        """``op_each(xs, ys)`` when every product lies in the negative cone,
-        else None (stops at the first product outside it)."""
-        out = []
-        for x, y in zip(xs, ys):
-            p = self.op(x, y)
-            if not self.is_negative(p):
-                return None
-            out.append(p)
-        return tuple(out)
 
     def __repr__(self) -> str:
         return self.name
@@ -132,10 +120,6 @@ class IntegerGroup(PoGroup):
 
     def op_each(self, xs, ys):
         return tuple(map(operator.add, xs, ys))
-
-    def op_each_negative(self, xs, ys):
-        out = tuple(map(operator.add, xs, ys))
-        return out if max(out, default=0) <= 0 else None
 
     def meet(self, a, b):
         return min(a, b)
@@ -180,10 +164,6 @@ class VectorGroup(PoGroup):
 
     def op_each(self, xs, ys):
         return tuple(map(tuple, map(map, itertools.repeat(operator.add), xs, ys)))
-
-    def op_each_negative(self, xs, ys):
-        out = self.op_each(xs, ys)
-        return out if max(map(max, out), default=0) <= 0 else None
 
     def meet(self, a, b):
         return tuple(map(min, a, b))

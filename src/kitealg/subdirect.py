@@ -37,6 +37,10 @@ class ComponentKernel:
     component: tuple[int, ...]  # sorted I'
     preimage: tuple[int, ...]   # sorted J'
 
+    @property
+    def label(self) -> list[int]:  # I' 1-based, as reports name it
+        return [i + 1 for i in self.component]
+
     def in_kernel(self, x: KiteElement, identity) -> bool:
         """Lower elements that are identity on J' (the projection kernel)."""
         return x.tag == LOWER and all(x.coords[j] == identity for j in self.preimage)
@@ -105,7 +109,7 @@ class SubdirectReport:
 
     def to_json(self) -> dict:
         return {
-            "components": [[i + 1 for i in k.component] for k in self.kernels],
+            "components": [k.label for k in self.kernels],
             "preimages": [[j + 1 for j in k.preimage] for k in self.kernels],
             "injectivity": self.injectivity.to_json(),
             "surjectivity": [v.to_json() for v in self.surjectivity],
@@ -141,7 +145,7 @@ def subdirect_embedding_check(A: KiteAlgebra, bound: int = 2,
         missing = sorted(map(repr, want - set(row)))
         surjectivity.append(Verdict.failure(
             (missing[0],), len(want),
-            f"component {[i + 1 for i in k.component]} projection misses box elements")
+            f"component {k.label} projection misses box elements")
             if missing else Verdict.passed(len(want)))
 
     hom = _check_projection_hom(A, kernels, targets, box, table, pair_cap, bound)
@@ -165,24 +169,24 @@ def _check_projection_hom(A, kernels, targets, box, table, pair_cap, bound) -> V
     checked = 0
     for k, target, row in zip(kernels, targets, table):
         if project_component(A, k, A.zero) != target.zero:
-            return Verdict.failure(("zero", k.component), checked)
+            return Verdict.failure(("zero", k.label), checked)
         if project_component(A, k, A.one) != target.one:
-            return Verdict.failure(("one", k.component), checked)
+            return Verdict.failure(("one", k.label), checked)
         for x, px in zip(box, row):
             checked += 1
             if project_component(A, k, A.complement_minus(x)) != target.complement_minus(px):
-                return Verdict.failure(("minus", k.component, x), checked)
+                return Verdict.failure(("minus", k.label, x), checked)
             if project_component(A, k, A.complement_tilde(x)) != target.complement_tilde(px):
-                return Verdict.failure(("tilde", k.component, x), checked)
+                return Verdict.failure(("tilde", k.label, x), checked)
     if type(A) is not KiteAlgebra or not packed.supports(A.G):
-        parts = [(k.component, target.add, row, partial(project_component, A, k))
+        parts = [(k.label, target.add, row, partial(project_component, A, k))
                  for k, target, row in zip(kernels, targets, table)]
         return named(_sum_stream(A.add, box, parts, pair_cap, checked), box)
 
     P = packed.Packing(A.G, A.sys.n, bound, A.sys.lam_inv, A.sys.rho_inv)
     values = [packed_element(P, x) for x in box]
     packings = [_at_parent_positions(A, k, target, bound) for k, target in zip(kernels, targets)]
-    parts = [(k.component, Pk.add, [pack(p) for p in row], P.restriction(k.preimage, k.component))
+    parts = [(k.label, Pk.add, [pack(p) for p in row], P.restriction(k.preimage, k.component))
              for k, row, (Pk, pack) in zip(kernels, table, packings)]
     for i, j in packed.recheck_tuples(len(box), 2):
         s, want = P.add(values[i], values[j]), A.add(box[i], box[j])
@@ -250,7 +254,7 @@ def check_kernel_projects_to_zero(A: KiteAlgebra, kernels, targets, box, table) 
                 continue
             checked += 1
             if px != target.zero:
-                return Verdict.failure(("kernel-image", k.component, x), checked)
+                return Verdict.failure(("kernel-image", k.label, x), checked)
     for x in box:
         checked += 1
         if all(k.in_kernel(x, e) for k in kernels) and x != A.zero:

@@ -92,28 +92,20 @@ def reference_mul(W, p, q):
 def test_tuple_operations(G):
     rng, draw = _draws(G, 1)
     e = G.identity
-    negative_seen = 0
     for _ in range(PAIRS):
         n = rng.randint(0, 4)
         kind = rng.choice(["any", "neg"])
         xs = tuple(draw(kind) for _ in range(n))
         ys = tuple(draw(kind) for _ in range(n))
         products = tuple(G.op(x, y) for x, y in zip(xs, ys))
-        negative = all(G.leq(p, e) for p in products)
-        negative_seen += negative
-        want = products if negative else None
         for p in products:
             assert G.is_negative(p) == G.leq(p, e)
             assert G.is_positive(p) == G.leq(e, p)
         # the fast path is fed iterators as well as tuples
         assert G.op_each(xs, ys) == products
         assert G.op_each(iter(xs), iter(ys)) == products
-        assert G.op_each_negative(xs, ys) == want
-        assert G.op_each_negative(iter(xs), iter(ys)) == want
         # an override must agree with the generic default
         assert PoGroup.op_each(G, xs, ys) == products
-        assert PoGroup.op_each_negative(G, xs, ys) == want
-    assert 0 < negative_seen < PAIRS
 
 
 def test_kite_add(G):
@@ -478,7 +470,10 @@ def test_subdirect_sweep_names_the_box_elements_it_fails_on(monkeypatch):
     monkeypatch.setattr(packed, "RECHECK", 0)
     monkeypatch.setattr(packed, "Packing", WrongRestriction)
     A = KiteAlgebra(parse_group("Z^2"), system(*EX_3_8))
-    v = subdirect_embedding_check(A, 1).hom_preservation
+    report = subdirect_embedding_check(A, 1)
+    v = report.hom_preservation
     assert v.failed and v.witnesses[0][0] == "sum"
     box = list(A.enumerate_box(1))
     assert len(v.witnesses[0]) == 4 and all(w in box for w in v.witnesses[0][2:])
+    # the component is labelled 1-based, as the report lists it
+    assert v.witnesses[0][1] in report.to_json()["components"]

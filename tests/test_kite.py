@@ -1,8 +1,10 @@
 """The kite partial algebra: membership, the box and its sampling, addition,
 complements, meets, and the axiom and refinement checkers."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +160,22 @@ class TestDifferences:
     def test_none_when_not_below(self, K82):
         assert K82.diff_right(K82.one, K82.zero) is None
         assert K82.diff_left(K82.zero, K82.lower(1, 0, 0, 0)) is None
+
+
+def test_readme_library_example():
+    # the README's python block runs, and each expression in it gives the
+    # value its comment states
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(repr(eval(compile(ast.Expression(stmt.value), "README", "eval"),
+                                    namespace)))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    assert values == ["U[-3, -1, 0, 0]", "U[0, -1, -2, -3]"]
+    assert all(f": {v}\n" in block for v in values)
 
 
 class TestAxiomChecker:

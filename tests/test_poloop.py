@@ -116,6 +116,29 @@ class TestDivision:
             assert W.mul(p, W.right_div(p, t)) == t, (p, t)
             assert W.mul(W.left_div(t, p), p) == t, (p, t)
 
+    @pytest.mark.parametrize("G", [Z, VectorGroup(2), _twisted_group()],
+                             ids=["Z", "Z^2", "loop-group"])
+    @pytest.mark.parametrize("name,lam,rho", [TEN_SYSTEMS[3], TEN_SYSTEMS[6]],
+                             ids=["cycles-3", "ex8.2"])
+    def test_kite_differences_solve_the_sum(self, G, name, lam, rho):
+        # over the loop-group the order of each solve's product matters:
+        # d + a = b gives b.a^-1 and a + c = b gives a^-1.b
+        A = KiteAlgebra(G, system(lam, rho))
+        box = A.enumerate_box(1)
+        rng = random.Random(7)
+        tags = set()
+        for _ in range(400):
+            a, b = box[rng.randrange(len(box))], box[rng.randrange(len(box))]
+            assert A.add(A.complement_minus(a), a) == A.one, a
+            assert A.add(a, A.complement_tilde(a)) == A.one, a
+            s = A.add(a, b)
+            if s is None:
+                continue
+            tags.add((a.tag, b.tag))
+            assert A.diff_left(s, b) == a, (a, b)
+            assert A.diff_right(a, s) == b, (a, b)
+        assert tags == {("L", "L"), ("L", "U"), ("U", "L")}
+
 
 class TestOrder:
     def test_lexicographic(self, W82):

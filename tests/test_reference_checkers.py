@@ -230,7 +230,7 @@ def test_subdirect_first_witness_is_first_failing_pair_and_component(monkeypatch
                 continue
             target = subdirect.component_algebra(A, k)
             if broken(A, k, s) != target.add(broken(A, k, x), broken(A, k, y)):
-                assert v == Verdict.failure(("sum", k.component, x, y), checked)
+                assert v == Verdict.failure(("sum", [i + 1 for i in k.component], x, y), checked)
                 assert k == kernels[-1]
                 return
     pytest.fail("the broken projection was never caught")
