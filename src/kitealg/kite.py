@@ -205,23 +205,43 @@ def check_pea_axioms(A: KiteAlgebra, sample: list[KiteElement], seed: int = 0,
     triple_cap bounds the table.  When triples are drawn, each sum is
     computed where it is read, so memory stays linear in the sample.
 
-    A KiteAlgebra over a built-in lattice, on a sample of its members, runs
-    the same checks packed into ints (kitealg.packed) once a seeded sample of
-    triples agrees with the kite's own operations.  Witnesses name sample
-    elements; axiom (ii)'s (a, x) names an x that completes a to 1 but is
-    not its complement.
+    The sweeps run on the kernel that `choose_kernel` picks, packed once a
+    seeded sample of triples agrees with the kite's own operations (`recheck`).
+    Witnesses name sample elements; axiom (ii)'s (a, x) names an x that
+    completes a to 1 but is not its complement.
     """
-    if type(A) is KiteAlgebra and packed.supports(A.G) and all(map(A.is_member, sample)):
-        P = packed.Packing(A.G, A.sys.n, packed.coordinate_bound(A.G, (x.coords for x in sample)),
-                           A.sys.lam_inv, A.sys.rho_inv)
-        values = [packed_element(P, x) for x in sample]
-        for t in packed.recheck_tuples(len(values), 3):
-            triple = [sample[i] for i in t]
-            want = [packed_element(P, r) for r in _axiom_probe(A, *triple)]
-            if _axiom_probe(P, *(values[i] for i in t)) != want:
-                return kernel_disagreement(triple)
-        return named(_pea_axioms(P, values, seed, triple_cap, pair_cap, draws), sample)
-    return named(_pea_axioms(A, sample, seed, triple_cap, pair_cap, draws), sample)
+    K, values = choose_kernel(A, sample)
+    if K is A:
+        return named(_pea_axioms(A, sample, seed, triple_cap, pair_cap, draws), sample)
+
+    def agrees(*t):
+        got = _axiom_probe(K, *map(values.__getitem__, t))
+        return got == [packed_element(K, r) for r in _axiom_probe(A, *map(sample.__getitem__, t))]
+    return recheck(sample, 3, agrees) or named(
+        _pea_axioms(K, values, seed, triple_cap, pair_cap, draws), sample)
+
+
+def choose_kernel(A, items):
+    """The one switch between the packed kernel and the object path: A's
+    Packing and the items packed into ints, when A is a KiteAlgebra itself
+    (not a subclass) over a built-in lattice and every item is a member;
+    else A and the items themselves.  The fields hold the items' scalars."""
+    if type(A) is KiteAlgebra and packed.supports(A.G) and all(map(A.is_member, items)):
+        P = packed.Packing(A.G, A.sys, packed.coordinate_bound(A.G, (x.coords for x in items)))
+        return P, [packed_element(P, x) for x in items]
+    return A, items
+
+
+def recheck(items, arity: int, agrees, checked: int = 0):
+    """Before a packed sweep: the kernel-disagreement FAIL naming the items at
+    the first tuple t of positions in packed.recheck_tuples where agrees(*t),
+    the packed kernel against the object path, is false; else None, so that
+    `recheck(...) or sweep` runs the sweep only when they all agree."""
+    for t in packed.recheck_tuples(len(items), arity):
+        if not agrees(*t):
+            return Verdict.failure(("kernel-disagreement", *map(items.__getitem__, t)), checked,
+                                   "packed kernel and object path disagree")
+    return None
 
 
 def packed_element(P: packed.Packing, x):
@@ -235,11 +255,6 @@ def named(v: Verdict, items) -> Verdict:
     return replace(v, witnesses=tuple(
         tuple(items[w] if type(w) is int else w for w in witness)
         for witness in v.witnesses))
-
-
-def kernel_disagreement(witness, checked: int = 0) -> Verdict:
-    return Verdict.failure(("kernel-disagreement", *witness), checked,
-                           "packed kernel and object path disagree")
 
 
 def _axiom_probe(X, a, b, c) -> list:

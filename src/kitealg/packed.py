@@ -16,9 +16,10 @@ Lower sum is one add of whole ints, and Upper + Upper is told by the tag
 bits adding up to 2.  Order and differences are a subtraction and a mask.
 
 A `Packing` offers the kite operations that the axiom, embedding and
-subdirect checkers call, over these ints.  They also serve the interval
-Gamma(W, u) of the po-loop, Lower at level 0 and Upper at level 1: `product`
-is the loop product, spelled from the loop's rule on levels, not on tags.
+subdirect checkers call, over these ints, a subdirect component's on its
+parent's packing (`restriction`).  They also serve the interval Gamma(W, u)
+of the po-loop, Lower at level 0 and Upper at level 1: `product` is the loop
+product, spelled from the loop's rule on levels, not on tags.
 The kernel only encodes: a sweep over packed values names a witness's
 elements by position in the caller's list, and the caller names them.
 """
@@ -29,7 +30,6 @@ import functools
 import operator
 import random
 
-from kitealg.indexsys import perm_inverse
 from kitealg.pogroup import DirectProduct, IntegerGroup, LexProduct, VectorGroup
 from kitealg.verdict import sweep
 
@@ -93,20 +93,21 @@ class Packing:
     path's re-addition of a difference always holds.  The complements are the
     differences from `one`.
 
-    The permutations lam_src and rho_src name the coordinate that the
-    lam_inv- and rho_inv-twisted segments carry at each position.  `add`
+    The twists are sys's: at position i the lam_inv- and rho_inv-twisted
+    segments carry coordinates sys.lam_inv[i] and sys.rho_inv[i].  `add`
     reads them as the kite's twists, `product` as the loop's lam^-1 and
     rho^-1.  The operations are closures over the packing's constants, so a
     sweep calls them without attribute lookups.  `pack` has no inverse.
     """
 
-    def __init__(self, G, n: int, bound: int, lam_src, rho_src):
+    def __init__(self, G, sys, bound: int):
         k, scalar_bound, to_fields = layout(G, bound)
         # the bias exceeds 8 * scalar_bound, so sums and differences of up to
         # three, plus mask offsets, stay in the field
         w = (8 * scalar_bound).bit_length() + 2
         B = 1 << (w - 2)
-        fields = n * k
+        self.sys = sys
+        fields = sys.n * k
         shifts = [w * f for f in range(fields)]
         ones = sum(1 << s for s in shifts)
         BIAS, HI, NEG = B * ones, 2 * B * ones, (B - 1) * ones
@@ -122,8 +123,6 @@ class Packing:
         REP = 1 | 1 << S | 1 << S2
         BIAS3, HI3 = BIAS * REP, HI * REP
         self.BIAS, self.REP = BIAS, REP
-        self.lam_src, self.rho_src = list(lam_src), list(rho_src)
-        lam_fwd, rho_fwd = perm_inverse(self.lam_src), perm_inverse(self.rho_src)
         lower = self.lower
 
         def add(x, y):
@@ -160,7 +159,7 @@ class Packing:
                 if not b & TAG:
                     return None
                 li = (b & SEG) - (a & SEG) + BIAS  # d's lam_inv segment
-                return lower(twist(li, lam_fwd, block)) if positive(li) else None
+                return lower(twist(li, sys.lam, block)) if positive(li) else None
             if b & TAG:
                 p = (b & SEG) - (a >> S2) + BIAS
                 return None if (p + NEG) & HI else p * REP
@@ -173,7 +172,7 @@ class Packing:
                 if not b & TAG:
                     return None
                 ri = (b & SEG) - (a & SEG) + BIAS  # c's rho_inv segment
-                return lower(twist(ri, rho_fwd, block)) if positive(ri) else None
+                return lower(twist(ri, sys.rho, block)) if positive(ri) else None
             if b & TAG:
                 p = (b & SEG) - (a >> S & SEG) + BIAS
                 return None if (p + NEG) & HI else p * REP
@@ -189,8 +188,8 @@ class Packing:
 
     def lower(self, plain: int) -> int:
         """The Lower element with this plain segment."""
-        return (plain | twist(plain, self.lam_src, self.block) << self.S
-                | twist(plain, self.rho_src, self.block) << 2 * self.S)
+        return (plain | twist(plain, self.sys.lam_inv, self.block) << self.S
+                | twist(plain, self.sys.rho_inv, self.block) << 2 * self.S)
 
     def pack(self, upper: bool, coords) -> int:
         """The element with these n coordinates, Upper (level 1) or Lower."""
@@ -201,9 +200,9 @@ class Packing:
         """The map of an element to its restriction: a Lower one keeps its
         plain fields at lower_positions and its twisted fields at
         upper_positions, an Upper one its fields at upper_positions; every
-        other field holds the identity.  This is a component's packing at
-        the parent's positions when lam_inv and rho_inv carry
-        lower_positions onto upper_positions."""
+        other field holds the identity.  For a component I' with preimage J'
+        that is the projection onto it at the parent's positions: lam_inv and
+        rho_inv carry I' into J', so the parent's twists there are its own."""
         blocks = (1 << self.block) - 1
 
         def fields(positions):

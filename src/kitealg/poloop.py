@@ -28,9 +28,10 @@ from kitealg.kite import (
     LOWER,
     KiteAlgebra,
     KiteElement,
-    kernel_disagreement,
+    choose_kernel,
     named,
     packed_element,
+    recheck,
 )
 from kitealg.pogroup import PoGroup
 from kitealg.verdict import Box, Verdict, sweep
@@ -297,10 +298,10 @@ def embed_kite(A: KiteAlgebra, bound: int = 2) -> Verdict:
     definedness and value of + on the box pairs: all of them up to 600,000,
     else 40,000 seeded draws; a pair witness names two kite box elements.
 
-    A KiteAlgebra over a built-in lattice sweeps its box packed into ints
-    (kitealg.packed), each element its own image: the kite sum against the
-    loop product, and the order against the existence of a difference, once
-    a seeded sample of pairs has tied them to the kite, loop and interval."""
+    The pair sweep runs on the kernel that `choose_kernel` picks.  Packed,
+    each element is its own image: the kite sum against the loop product, and
+    the order against the existence of a difference, once a seeded sample of
+    pairs has tied them to the kite, loop and interval (`recheck`)."""
     W = PoLoop(A.G, A.sys)
     gamma = GammaInterval(W)
     kite_box = list(A.enumerate_box(bound))
@@ -318,24 +319,25 @@ def embed_kite(A: KiteAlgebra, bound: int = 2) -> Verdict:
         return Verdict.failure(("surjectivity-onto-interval-box",), checked)
     checked += len(kite_box)
 
-    if type(A) is not KiteAlgebra or not packed.supports(A.G):
+    K, xs = choose_kernel(A, kite_box)
+    if K is A:
         return named(_embed_pairs(A, W.leq, gamma.add, embed_kite_element, kite_box, images,
                                   checked), kite_box)
-    K = packed.Packing(A.G, A.sys.n, bound, A.sys.lam_inv, A.sys.rho_inv)
-    xs = [packed_element(K, x) for x in kite_box]
-    for i, j in packed.recheck_tuples(len(xs), 2):
+
+    def agrees(i, j):
         x, y, p, q = kite_box[i], kite_box[j], images[i], images[j]
         t = gamma.add(p, q)
         want = [A.leq(x, y), W.leq(p, q), packed_element(K, A.add(x, y)),
                 None if t is None else K.pack(t.m == 1, t.coords)]
         leq = K.leq(xs[i], xs[j])
-        if [leq, leq, K.add(xs[i], xs[j]), K.product(xs[i], xs[j])] != want:
-            return kernel_disagreement((x, y), checked)
+        return [leq, leq, K.add(xs[i], xs[j]), K.product(xs[i], xs[j])] == want
+
     def interval_leq(p, q):
         """p <= q read from the kite's own difference, not from the order on
         levels, then fields, that K.leq spells."""
         return K.diff_left(q, p) is not None
-    return named(_embed_pairs(K, interval_leq, K.product, lambda s: s, xs, xs, checked), kite_box)
+    return recheck(kite_box, 2, agrees, checked) or named(
+        _embed_pairs(K, interval_leq, K.product, lambda s: s, xs, xs, checked), kite_box)
 
 
 def _embed_pairs(K, interval_leq, interval_add, phi, xs, ps, checked) -> Verdict:

@@ -13,15 +13,15 @@ import random
 from dataclasses import dataclass
 from functools import partial
 
-from kitealg import packed
 from kitealg.indexsys import IndexSystem, components, perm_image
 from kitealg.kite import (
     LOWER,
     KiteAlgebra,
     KiteElement,
-    kernel_disagreement,
+    choose_kernel,
     named,
     packed_element,
+    recheck,
 )
 from kitealg.verdict import Verdict, merge, sweep
 
@@ -148,23 +148,23 @@ def subdirect_embedding_check(A: KiteAlgebra, bound: int = 2,
             f"component {k.label} projection misses box elements")
             if missing else Verdict.passed(len(want)))
 
-    hom = _check_projection_hom(A, kernels, targets, box, table, pair_cap, bound)
+    hom = _check_projection_hom(A, kernels, targets, box, table, pair_cap)
     kernel_check = check_kernel_projects_to_zero(A, kernels, targets, box, table)
     return SubdirectReport(kernels, injectivity or Verdict.passed(len(box)),
                            tuple(surjectivity), recon or Verdict.passed(len(box)),
                            hom, kernel_check)
 
 
-def _check_projection_hom(A, kernels, targets, box, table, pair_cap, bound) -> Verdict:
+def _check_projection_hom(A, kernels, targets, box, table, pair_cap) -> Verdict:
     """Each projection preserves 0, 1, order, definedness and value of +,
     and both complements; table[k][i] is box[i] projected onto kernels[k].
 
     The sum checks share one seeded stream of index pairs: each kite sum is
     computed and projected once and checked on every component, and the
     first failing (pair, component) in stream order is the witness, its pair
-    named from the box.  Over a built-in lattice the stream runs on packed
-    ints: A's sum masked to each component's fields against the component's
-    own sum, once a seeded sample of pairs agrees with the kites and projections.
+    named from the box.  On the kernel `choose_kernel` picks, packed: A's sum
+    masked to a component's fields against the component's sum on A's packing,
+    once a seeded sample of pairs agrees with the kites and projections (`recheck`).
     """
     checked = 0
     for k, target, row in zip(kernels, targets, table):
@@ -178,52 +178,36 @@ def _check_projection_hom(A, kernels, targets, box, table, pair_cap, bound) -> V
                 return Verdict.failure(("minus", k.label, x), checked)
             if project_component(A, k, A.complement_tilde(x)) != target.complement_tilde(px):
                 return Verdict.failure(("tilde", k.label, x), checked)
-    if type(A) is not KiteAlgebra or not packed.supports(A.G):
+    K, values = choose_kernel(A, box)
+    if K is A:
         parts = [(k.label, target.add, row, partial(project_component, A, k))
                  for k, target, row in zip(kernels, targets, table)]
         return named(_sum_stream(A.add, box, parts, pair_cap, checked), box)
 
-    P = packed.Packing(A.G, A.sys.n, bound, A.sys.lam_inv, A.sys.rho_inv)
-    values = [packed_element(P, x) for x in box]
-    packings = [_at_parent_positions(A, k, target, bound) for k, target in zip(kernels, targets)]
-    parts = [(k.label, Pk.add, [pack(p) for p in row], P.restriction(k.preimage, k.component))
-             for k, row, (Pk, pack) in zip(kernels, table, packings)]
-    for i, j in packed.recheck_tuples(len(box), 2):
-        s, want = P.add(values[i], values[j]), A.add(box[i], box[j])
-        got, wanted = [s], [packed_element(P, want)]
-        for (_, add, pieces, restrict), (_, pack), k, target, row in zip(
-                parts, packings, kernels, targets, table):
-            got.append(add(pieces[i], pieces[j]))
-            wanted.append(pack(target.add(row[i], row[j])))
-            if s is not None and want is not None:
-                got.append(restrict(s))
-                wanted.append(pack(project_component(A, k, want)))
-        if got != wanted:
-            return kernel_disagreement((box[i], box[j]), checked)
-    return named(_sum_stream(P.add, values, parts, pair_cap, checked), box)
-
-
-def _at_parent_positions(A, kernel, target, bound):
-    """The packing of the component kite target with its elements at A's
-    positions (the identity elsewhere) and its own twists carried there, and
-    the map that packs one of its elements (None stays None).  Elsewhere the
-    packing keeps A's twists, which move only identity fields there."""
-    n = A.sys.n
-    lam_src, rho_src = list(A.sys.lam_inv), list(A.sys.rho_inv)
-    for q, i in enumerate(kernel.component):
-        lam_src[i] = kernel.preimage[target.sys.lam_inv[q]]
-        rho_src[i] = kernel.preimage[target.sys.rho_inv[q]]
-    Pk = packed.Packing(A.G, n, bound, lam_src, rho_src)
-
-    def pack(piece):
+    def lift(k, piece):
+        """A component's element packed by K at A's positions, the identity
+        elsewhere; None stays None."""
         if piece is None:
             return None
-        coords = [A.G.identity] * n
-        for i, c in zip(kernel.preimage if piece.tag == LOWER else kernel.component,
-                        piece.coords):
+        coords = [A.G.identity] * A.sys.n
+        for i, c in zip(k.preimage if piece.tag == LOWER else k.component, piece.coords):
             coords[i] = c
-        return Pk.pack(piece.tag != LOWER, coords)
-    return Pk, pack
+        return K.pack(piece.tag != LOWER, coords)
+    parts = [(k.label, K.add, [lift(k, p) for p in row], K.restriction(k.preimage, k.component))
+             for k, row in zip(kernels, table)]
+
+    def agrees(i, j):
+        s, want = K.add(values[i], values[j]), A.add(box[i], box[j])
+        got, wanted = [s], [packed_element(K, want)]
+        for (_, _, pieces, restrict), k, target, row in zip(parts, kernels, targets, table):
+            got.append(K.add(pieces[i], pieces[j]))
+            wanted.append(lift(k, target.add(row[i], row[j])))
+            if s is not None and want is not None:
+                got.append(restrict(s))
+                wanted.append(lift(k, project_component(A, k, want)))
+        return got == wanted
+    return recheck(box, 2, agrees, checked) or named(
+        _sum_stream(K.add, values, parts, pair_cap, checked), box)
 
 
 def _sum_stream(add, items, parts, pair_cap, checked) -> Verdict:

@@ -7,6 +7,7 @@ the enumeration box.  The packed-integer kernel (kitealg.packed) is checked
 operation by operation against the object path on every kind of layout
 (Z, Z^k, prod, lex over a chain, nested), the three checkers that use it
 must return the same Verdict as on a subclass (which takes the object path),
+each building one Packing where it runs packed and none where it does not,
 and a wrong twist in the kernel, or a lex multiplier M too small for the
 order embedding, must surface as a FAIL; embed's sweep must find a wrong
 kite sum or a wrong order without the re-check.
@@ -18,7 +19,7 @@ import pytest
 
 from kitealg import packed
 from kitealg.cli import bounded_sample
-from kitealg.indexsys import IndexSystem, perm_inverse
+from kitealg.indexsys import IndexSystem, components, perm_inverse
 from kitealg.kite import LOWER, UPPER, KiteAlgebra, KiteElement, check_pea_axioms
 from kitealg.pogroup import IntegerGroup, LexProduct, PoGroup, parse_group
 from kitealg.poloop import GammaInterval, LoopElement, PoLoop, embed_kite
@@ -196,7 +197,7 @@ def test_packed_operations_match_objects(group, bound):
         sys_ = _random_system(rng)
         A, W = KiteAlgebra(G, sys_), PoLoop(G, sys_)
         gamma = GammaInterval(W)
-        K = packed.Packing(G, sys_.n, bound, sys_.lam_inv, sys_.rho_inv)
+        K = packed.Packing(G, sys_, bound)
 
         def kite(r):
             return r if r is None or type(r) is bool else K.pack(r.tag == UPPER, r.coords)
@@ -277,6 +278,11 @@ def test_embed_verdict_matches_object_path(group, lam_rho, bound):
     ("lex(Z,Z)", EX_3_8, 1, 3_000), ("lex(Z,Z)", CYCLES_3, 2, 20_000),
     ("prod(Z,Z)", CYCLES_3, 1, 3_000), ("lex(Z,Z^2)", CYCLES_3, 1, 3_000),
     ("lex(lex(Z,Z),Z)", CYCLES_3, 1, 3_000),
+    # several components, each run on the parent's packing: {1}, {2} ...
+    ("prod(Z,Z)", SWAP_2, 1, 3_000), ("lex(Z,Z^2)", SWAP_2, 1, 3_000),
+    ("lex(lex(Z,Z),Z)", SWAP_2, 1, 3_000), ("prod(lex(Z,Z),Z^2)", SWAP_2, 1, 3_000),
+    # ... and {1}, {2, 3}
+    ("prod(Z,Z)", ([1, 2, 3], [1, 3, 2]), 1, 3_000),
 ])
 def test_subdirect_report_matches_object_path(group, lam_rho, bound, pair_cap):
     G = parse_group(group)
@@ -317,6 +323,39 @@ def test_wrong_twist_fails_every_checker(monkeypatch):
     # broken twist cannot reach, so a wider supports() would fail here
     v = _verdicts(KiteAlgebra(parse_group("lex(Z^2,Z)"), system([1, 2], [2, 1])), 24)
     assert all(x.ok for x in v), v
+
+
+def test_one_packing_per_packed_check(monkeypatch):
+    # the kernel switch builds the one Packing a check runs on: exactly one
+    # per packed check, subdirect's components included (ex8.2 has three),
+    # and none on the object path, so a switch broken toward objects fails
+    # here and not only in wall time
+    built = []
+
+    class Counting(packed.Packing):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(packed, "Packing", Counting)
+
+    def packings(A):
+        box = list(A.enumerate_box(1))
+        counts = []
+        for check in (lambda: check_pea_axioms(A, bounded_sample(box, 24, 0)),
+                      lambda: embed_kite(A, 1),
+                      lambda: subdirect_embedding_check(A, 1, 3_000).verdict):
+            built.clear()
+            assert check().ok
+            counts.append(len(built))
+        return counts
+
+    for group, lam_rho in LAYOUT_KINDS:
+        assert packings(KiteAlgebra(parse_group(group), system(*lam_rho))) == [1, 1, 1], group
+    assert len(components(system(*EX_8_2))) == 3
+    assert packings(KiteAlgebra(parse_group("lex(Z^2,Z)"), system([1, 2], [2, 1]))) == [0, 0, 0]
+    for group, lam_rho in [("Z", EX_8_2), ("Z^2", SWAP_2)]:
+        assert packings(ObjectPath(parse_group(group), system(*lam_rho))) == [0, 0, 0]
 
 
 LAYOUT = packed.layout
@@ -360,7 +399,7 @@ def test_lex_pack_decode_round_trip(bound):
     # the packing of the object sums
     for group, lam_rho in ROUND_TRIP:
         A = KiteAlgebra(parse_group(group), system(*lam_rho))
-        K = packed.Packing(A.G, A.sys.n, bound, A.sys.lam_inv, A.sys.rho_inv)
+        K = packed.Packing(A.G, A.sys, bound)
 
         def pack(x):
             return None if x is None else K.pack(x.tag == UPPER, x.coords)

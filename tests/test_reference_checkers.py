@@ -219,7 +219,7 @@ def test_subdirect_first_witness_is_first_failing_pair_and_component(monkeypatch
     monkeypatch.setattr(subdirect, "project_component", broken)
     targets = [subdirect.component_algebra(A, k) for k in kernels]
     table = [[broken(A, k, x) for x in box] for k in kernels]
-    v = subdirect._check_projection_hom(A, kernels, targets, box, table, pair_cap=200_000, bound=1)
+    v = subdirect._check_projection_hom(A, kernels, targets, box, table, pair_cap=200_000)
 
     checked = len(kernels) * len(box)
     for x, y in itertools.product(box, repeat=2):
@@ -243,5 +243,5 @@ def test_subdirect_pair_stream_over_cap_passes():
                     for c in subdirect.components(A.sys))
     targets = [subdirect.component_algebra(A, k) for k in kernels]
     table = [[subdirect.project_component(A, k, x) for x in box] for k in kernels]
-    v = subdirect._check_projection_hom(A, kernels, targets, box, table, pair_cap=1_000, bound=1)
+    v = subdirect._check_projection_hom(A, kernels, targets, box, table, pair_cap=1_000)
     assert v.ok and v.checked == len(kernels) * (len(box) + 1_000)
