@@ -232,15 +232,16 @@ def choose_kernel(A, items):
     return A, items
 
 
-def recheck(items, arity: int, agrees, checked: int = 0):
-    """Before a packed sweep: the kernel-disagreement FAIL naming the items at
+def recheck(items, arity: int, agrees, checked: int = 0,
+            detail: str = "packed kernel and object path disagree"):
+    """Before a fast sweep: the kernel-disagreement FAIL naming the items at
     the first tuple t of positions in packed.recheck_tuples where agrees(*t),
-    the packed kernel against the object path, is false; else None, so that
+    the fast path against the object path, is false; else None, so that
     `recheck(...) or sweep` runs the sweep only when they all agree."""
     for t in packed.recheck_tuples(len(items), arity):
         if not agrees(*t):
             return Verdict.failure(("kernel-disagreement", *map(items.__getitem__, t)), checked,
-                                   "packed kernel and object path disagree")
+                                   detail)
     return None
 
 
@@ -417,6 +418,38 @@ def find_kite_refinement(A: KiteAlgebra, a1, a2, b1, b2,
     return None
 
 
+def corner_memo(A: KiteAlgebra, sample: list[KiteElement]):
+    """On a lattice, refined(a1, a2, b1, b2): whether find_kite_refinement
+    refines the quadruple, with the corner of (a1, b1) computed once per
+    sample pair.  The corner is c12 and c21 from c11 = a1 ^ b1 when both
+    exist and c12 ^ c21 = 0; each quadruple then checks only c12 + c22 = b2
+    for c22 = diff_right(c21, a2).  Corners sit in two flat n x n lists
+    (False where a pair has none), interned so that the lists share one
+    reference per distinct element: the memo holds no object per pair."""
+    at = {x: i for i, x in enumerate(sample)}
+    n = len(sample)
+    c12s, c21s = [None] * (n * n), [None] * (n * n)
+    interned: dict[KiteElement, KiteElement] = {}
+    diff_right, add = A.diff_right, A.add
+
+    def refined(a1, a2, b1, b2) -> bool:
+        k = at[a1] * n + at[b1]
+        c12 = c12s[k]
+        if c12 is None:
+            c11 = A.meet(a1, b1)
+            c12, c21 = diff_right(c11, a1), diff_right(c11, b1)
+            if c12 is None or c21 is None or not A.meet_is_zero(c12, c21):
+                c12 = c21 = False
+            else:
+                c12, c21 = interned.setdefault(c12, c12), interned.setdefault(c21, c21)
+            c12s[k], c21s[k] = c12, c21
+        if c12 is False:
+            return False
+        c22 = diff_right(c21s[k], a2)
+        return c22 is not None and add(c12, c22) == b2
+    return refined
+
+
 def check_kite_rdp(A: KiteAlgebra, sample: list[KiteElement],
                    quad_cap: int = 300_000, seed: int = 0) -> Verdict:
     """Search an RDP2 refinement for every sampled quadruple with equal
@@ -425,8 +458,27 @@ def check_kite_rdp(A: KiteAlgebra, sample: list[KiteElement],
     A missing refinement is INCONCLUSIVE (bounded search), not a refutation.
     Above quad_cap, quad_cap positions of the quadruple box are drawn and
     read one at a time, so no list of quadruples is held.
+
+    On a lattice the meet is the only candidate, so the quadruples read
+    `corner_memo`, which computes each sample pair's corner once; up to 256
+    box positions re-run `find_kite_refinement` first (`recheck`), and a
+    disagreement is a kernel-disagreement FAIL naming the quadruple.  Off a
+    lattice each quadruple goes through `find_kite_refinement`.
     """
     box = quadruple_box(sum_classes(A, sample))
+    if A.G.has_meet:
+        refined = corner_memo(A, sample)
+
+        def agrees(i):
+            quad = box[i]
+            return refined(*quad) == (find_kite_refinement(A, *quad, sample) is not None)
+        bad = recheck(box, 1, agrees,
+                      detail="corner memo and find_kite_refinement disagree")
+        if bad is not None:
+            return bad
+    else:
+        def refined(a1, a2, b1, b2):
+            return find_kite_refinement(A, a1, a2, b1, b2, sample) is not None
     if len(box) <= quad_cap:
         quads = rdp_quadruples(A, sample, box)
     else:
@@ -435,11 +487,11 @@ def check_kite_rdp(A: KiteAlgebra, sample: list[KiteElement],
         rng = random.Random(seed)
         quads = map(box.__getitem__, rng.sample(range(len(box)), quad_cap))
     checked, found, witnesses = min(len(box), quad_cap), 0, []
-    for a1, a2, b1, b2 in quads:
-        if find_kite_refinement(A, a1, a2, b1, b2, sample) is not None:
+    for quad in quads:
+        if refined(*quad):
             found += 1
         elif len(witnesses) < 5:
-            witnesses.append((a1, a2, b1, b2))
+            witnesses.append(quad)
     if found < checked:
         return Verdict(
             "INCONCLUSIVE", checked=checked, witnesses=tuple(witnesses),

@@ -5,12 +5,16 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+# the most 32-bit words `choices` draws at once, which bounds its buffers
+BATCH_WORDS = 4096
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,31 @@ def sweep(space, arity, cap, draws, rng):
     """
     if len(space) ** arity <= cap:
         return True, itertools.product(space, repeat=arity)
-    picks = map(rng.choice, itertools.repeat(space, draws * arity))
+    picks = choices(rng, space, draws * arity)
     return False, zip(*[picks] * arity)
+
+
+def choices(rng, space, count):
+    """count consecutive rng.choice(space) picks, drawn in batches.
+
+    rng.choice(space) tries the top k = len(space).bit_length() bits of one
+    32-bit Mersenne Twister word until they fall below len(space), and
+    rng.getrandbits(32 * m) returns m such words, the first least
+    significant.  A batch draws one word per pick still missing (at most
+    BATCH_WORDS), so the picks and the final state of rng are rng.choice's.  Spaces of 2**32 or more
+    elements (and empty ones) fall back to rng.choice.
+    """
+    n = len(space)
+    if not 0 < n < 1 << 32:
+        yield from map(rng.choice, itertools.repeat(space, count))
+        return
+    shift = 32 - n.bit_length()
+    while count:
+        m = min(count, BATCH_WORDS)
+        words = struct.unpack(f"<{m}I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
+        batch = [space[r] for w in words if (r := w >> shift) < n]
+        count -= len(batch)
+        yield from batch
 
 
 class Box(Sequence):

@@ -4,10 +4,12 @@ complements, meets, and the axiom and refinement checkers."""
 import ast
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from kitealg.cli import bounded_sample
 from kitealg.kite import (
     LOWER,
     UPPER,
@@ -25,7 +27,7 @@ from kitealg.kite import (
 )
 from kitealg.pogroup import IntegerGroup, UnsupportedCarrier, VectorGroup, parse_group
 
-from conftest import EX_8_2, TEN_SYSTEMS, system
+from conftest import EX_3_8, EX_8_2, TEN_SYSTEMS, system
 
 Z = IntegerGroup()
 
@@ -285,6 +287,21 @@ class TestRdp:
                     rest = _refine(A, *quad, c)
                     assert rest is None or not A.meet_is_zero(*rest[:2]), (quad, c)
         assert len(quads) == (3796 if draws is None else draws)
+
+    def test_corner_memo_memory_is_bounded(self):
+        # the memo holds two n x n lists of shared references, not an object
+        # per sample pair; on this check the tracemalloc peak read 1.26 MB
+        # before the memo and 1.60 MB with it (Python 3.11)
+        A = KiteAlgebra(VectorGroup(2), system(*EX_3_8))
+        sample = bounded_sample(A.enumerate_box(1), 120, 0, keep=(A.zero, A.one))
+        tracemalloc.start()
+        try:
+            v = check_kite_rdp(A, sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.ok
+        assert peak < 2_000_000, peak
 
     def test_no_meet_scans_the_sample(self):
         # lex(Z^2,Z) has no meet: c11 comes from the common lower bounds of

@@ -4,8 +4,11 @@
 axiom checker did before it shared one table of pair sums; the fast checker
 must return the same `Verdict` (status, checked, witnesses, detail) in the
 exhaustive and in the sampled regime, on sound kites and on kites with a
-fault planted in each axiom.  The RDP and subdirect tests pin the order in
-which their streams are evaluated.
+fault planted in each axiom.  `reference_check_kite_rdp` runs one
+`find_kite_refinement` per quadruple; the RDP checker, which computes each
+sample pair's corner once on a lattice, must return the same `Verdict` on
+sound kites and under a planted side-condition fault.  The RDP and subdirect
+tests pin the order in which their streams are evaluated.
 """
 
 import itertools
@@ -13,7 +16,7 @@ import random
 
 import pytest
 
-from kitealg import kite, subdirect
+from kitealg import kite, packed, subdirect
 from kitealg.cli import bounded_sample
 from kitealg.kite import KiteAlgebra, KiteElement, LOWER, UPPER, check_pea_axioms
 from kitealg.pogroup import IntegerGroup, VectorGroup, parse_group
@@ -156,44 +159,111 @@ def test_closed_form_fault_agrees():
 
 
 # ---------------------------------------------------------------------------
-# RDP: the over-cap stream selects what sampling the full list selected
+# RDP: the corner memo against a loop of find_kite_refinement
 # ---------------------------------------------------------------------------
 
-# random.sample picks from a copied pool when the cap is a large share of the
-# population and from a set of taken positions otherwise; both occur here
-@pytest.mark.parametrize("group, cap, seed", [("Z", 300, 4), ("Z", 5, 4), ("Z^2", 50, 9)])
-def test_over_cap_rdp_stream_matches_list_sample(monkeypatch, group, cap, seed):
-    A = KiteAlgebra(parse_group(group), system(*EX_8_5))
-    sample = bounded_sample(A.enumerate_box(1), 18, seed, keep=(A.zero, A.one))
+def reference_check_kite_rdp(A, sample, quad_cap=300_000, seed=0):
+    """check_kite_rdp as one find_kite_refinement per quadruple of the list
+    random.sample draws from, or of every quadruple under the cap."""
     quads = list(kite.rdp_quadruples(A, sample))
-    assert len(quads) > cap
-    want = random.Random(seed).sample(quads, cap)
+    if len(quads) > quad_cap:
+        quads = random.Random(seed).sample(quads, quad_cap)
+    found, witnesses = 0, []
+    for quad in quads:
+        if kite.find_kite_refinement(A, *quad, sample) is not None:
+            found += 1
+        elif len(witnesses) < 5:
+            witnesses.append(quad)
+    checked = len(quads)
+    if found < checked:
+        return Verdict("INCONCLUSIVE", checked, tuple(witnesses),
+                       f"{found}/{checked} quadruples refined; "
+                       f"{checked - found} without a witness in the box")
+    return Verdict.passed(checked, f"all {found} quadruples refined")
 
-    asked = []
 
-    def record(A, a1, a2, b1, b2, sample):
-        asked.append((a1, a2, b1, b2))
-        return None if len(asked) % 3 == 0 else ()
+class RefusesCorners(KiteAlgebra):
+    """A side-condition fault: c12 ^ c21 = 0 is refused for every c12 in a
+    chosen set of box elements, so the quadruples behind those corners go
+    unrefined, in the memo and in the reference alike."""
 
-    monkeypatch.setattr(kite, "find_kite_refinement", record)
+    def __init__(self, G, sys):
+        super().__init__(G, sys)
+        self.refused = frozenset(list(self.enumerate_box(1))[::3])
+
+    def meet_is_zero(self, x, y):
+        return x not in self.refused and super().meet_is_zero(x, y)
+
+
+def _rdp_agrees(A, sample, cap=300_000, seed=0):
     v = kite.check_kite_rdp(A, sample, quad_cap=cap, seed=seed)
-    assert asked == want
-    missing = want[2::3]
-    assert v.status == "INCONCLUSIVE" and v.checked == cap
-    assert v.witnesses == tuple(missing[:5])
-    assert v.detail == (f"{cap - len(missing)}/{cap} quadruples refined; "
-                        f"{len(missing)} without a witness in the box")
+    assert v == reference_check_kite_rdp(A, sample, cap, seed)
+    return v
 
 
-def test_under_cap_rdp_streams_every_quadruple(monkeypatch):
+# random.sample picks from a copied pool when the cap is a large share of the
+# population and from a set of taken positions otherwise; both occur here.
+# The witnesses are the first five unrefined quadruples and `found` counts the
+# refined ones, so the whole Verdict pins which quadruples ran, in what order
+@pytest.mark.parametrize("group, cap, seed", [("Z", 300, 4), ("Z", 5, 4), ("Z^2", 50, 9)])
+def test_over_cap_rdp_stream_matches_list_sample(group, cap, seed):
+    A = RefusesCorners(parse_group(group), system(*EX_8_5))
+    sample = bounded_sample(A.enumerate_box(1), 18, seed, keep=(A.zero, A.one))
+    assert len(list(kite.rdp_quadruples(A, sample))) > cap
+    v = _rdp_agrees(A, sample, cap, seed)
+    assert v.status == "INCONCLUSIVE" and v.checked == cap and v.witnesses
+
+
+def test_under_cap_rdp_streams_every_quadruple():
+    A = RefusesCorners(Z, system(*EX_8_5))
+    sample = A.enumerate_box(1)
+    v = _rdp_agrees(A, sample)
+    assert v.status == "INCONCLUSIVE" and len(v.witnesses) == 5
+    assert v.checked == len(list(kite.rdp_quadruples(A, sample)))
+
+
+@pytest.mark.parametrize("cls", [KiteAlgebra, RefusesCorners])
+@pytest.mark.parametrize("regime", ["exhaustive", "over-cap"])
+@pytest.mark.parametrize("group", ["Z", "Z^2", "lex(Z,Z)", "prod(Z,Z)", "lex(Z,Z^2)"])
+def test_rdp_verdict_matches_reference(group, regime, cls):
+    A = cls(parse_group(group), system([2, 3, 1], [3, 1, 2]))
+    assert A.G.has_meet
+    sample = bounded_sample(A.enumerate_box(1), 16, 3, keep=(A.zero, A.one))
+    total = len(list(kite.rdp_quadruples(A, sample)))
+    v = _rdp_agrees(A, sample, total if regime == "exhaustive" else total // 3, seed=5)
+    assert v.ok == (cls is KiteAlgebra)
+
+
+def test_fault_in_the_memo_alone_is_a_kernel_disagreement(monkeypatch):
     A = KiteAlgebra(Z, system(*EX_8_5))
     sample = A.enumerate_box(1)
-    asked = []
+    box = kite.quadruple_box(kite.sum_classes(A, sample))
+    (first,), = itertools.islice(packed.recheck_tuples(len(box), 1), 1)
+    target, memo = box[first], kite.corner_memo
+
+    def wrong_at_target(A, sample):
+        refined = memo(A, sample)
+        return lambda *quad: refined(*quad) != (quad == target)
+
+    monkeypatch.setattr(kite, "corner_memo", wrong_at_target)
+    assert kite.check_kite_rdp(A, sample) == Verdict.failure(
+        ("kernel-disagreement", target), 0, "corner memo and find_kite_refinement disagree")
+
+
+@pytest.mark.parametrize("group, searched", [("Z", "re-check"), ("lex(Z^2,Z)", "all")])
+def test_find_kite_refinement_runs_where_the_memo_cannot(monkeypatch, group, searched):
+    # on a lattice only the re-check searches; off one every quadruple does
+    A = KiteAlgebra(parse_group(group), system([2, 3, 1], [3, 1, 2]))
+    sample = bounded_sample(A.enumerate_box(1), 20, 3, keep=(A.zero, A.one))
+    quads = len(list(kite.rdp_quadruples(A, sample)))
+    calls, search = [], kite.find_kite_refinement
     monkeypatch.setattr(kite, "find_kite_refinement",
-                        lambda A, *quad: asked.append(quad[:4]) or ())
-    v = kite.check_kite_rdp(A, sample)
-    assert asked == list(kite.rdp_quadruples(A, sample))
-    assert v.ok and v.checked == len(asked)
+                        lambda *args: calls.append(args) or search(*args))
+    kite.check_kite_rdp(A, sample)
+    if searched == "re-check":
+        assert quads > packed.RECHECK and len(calls) == packed.RECHECK
+    else:
+        assert len(calls) == quads
 
 
 # ---------------------------------------------------------------------------

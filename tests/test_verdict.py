@@ -10,7 +10,7 @@ from kitealg.indexsys import IndexSystem
 from kitealg.kite import KiteAlgebra, quadruple_box, sum_classes
 from kitealg.pogroup import IntegerGroup
 from kitealg.poloop import PoLoop
-from kitealg.verdict import INCONCLUSIVE, Box, Verdict, merge, sweep
+from kitealg.verdict import BATCH_WORDS, INCONCLUSIVE, Box, Verdict, choices, merge, sweep
 
 EX82 = IndexSystem.from_one_based([1, 3, 2, 4], [2, 3, 1, 4])
 
@@ -57,6 +57,25 @@ class TestSweep:
     def test_zero_draws_yield_nothing(self):
         exhaustive, tuples = sweep(list(range(10)), 2, 0, 0, random.Random(0))
         assert not exhaustive and list(tuples) == []
+
+
+class TestChoices:
+    # batched picks rest on CPython's rng.choice: one 32-bit word per try,
+    # its top n.bit_length() bits, rejected at n or above; spaces of 2**32
+    # or more fall back to rng.choice
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 32, 120, 512, 1000, 2 ** 16 + 3, 2 ** 31 - 1,
+                                   2 ** 31, 2 ** 31 + 5, 2 ** 32 - 1, 2 ** 32, 2 ** 40])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_picks_and_state_match_rng_choice(self, n, seed):
+        space = range(n)
+        for count in (0, 1, 37, BATCH_WORDS + 5):
+            rng, legacy = random.Random(seed), random.Random(seed)
+            assert list(choices(rng, space, count)) == [legacy.choice(space) for _ in range(count)]
+            assert rng.getstate() == legacy.getstate()
+
+    def test_empty_space_raises_as_rng_choice(self):
+        with pytest.raises(IndexError):
+            next(choices(random.Random(0), [], 1))
 
 
 def _kite_box():
