@@ -364,7 +364,7 @@ def _suite_loop(spec, G, sys_):
 def _suite_embed(spec, G, sys_):
     A = kt.KiteAlgebra(G, sys_)
     bound = min(spec.bound, 2)
-    verdict = pl.embed_kite(A, bound=bound)
+    verdict = pl.embed_kite(A, bound=bound, seed=spec.seed)
     gamma = pl.GammaInterval(pl.PoLoop(G, sys_))
     comp = gamma.check_complements(bound)
     return _entry(merge([verdict, comp]), embedding=verdict.to_json(),
@@ -374,7 +374,7 @@ def _suite_embed(spec, G, sys_):
 def _suite_subdirect(spec, G, sys_):
     A = kt.KiteAlgebra(G, sys_)
     bound = min(spec.bound, 2)
-    report = sd.subdirect_embedding_check(A, bound=bound)
+    report = sd.subdirect_embedding_check(A, bound=bound, seed=spec.seed)
     return _entry(report.verdict, report=report.to_json(),
                   kernel_check=report.kernel_check.to_json())
 

@@ -120,18 +120,16 @@ class KiteAlgebra:
         return self._solve_right(x, self.one)
 
     def diff_left(self, b: KiteElement, a: KiteElement) -> Optional[KiteElement]:
-        """The unique d with d + a = b, or None when a is not below b."""
+        """For members a and b, the unique d with d + a = b, or None when a is not
+        below b: the solved candidate exactly when it is a member (not re-added)."""
         d = self._solve_left(b, a)
-        if d is None or not self.is_member(d) or self.add(d, a) != b:
-            return None
-        return d
+        return d if d is not None and self.is_member(d) else None
 
     def diff_right(self, a: KiteElement, b: KiteElement) -> Optional[KiteElement]:
-        """The unique c with a + c = b, or None when a is not below b."""
+        """For members a and b, the unique c with a + c = b, or None when a is
+        not below b: the solved candidate exactly when it is a member."""
         c = self._solve_right(a, b)
-        if c is None or not self.is_member(c) or self.add(a, c) != b:
-            return None
-        return c
+        return c if c is not None and self.is_member(c) else None
 
     def _solve_left(self, b, a):
         """The candidate d for d + a = b, unchecked: b.a^-1 coordinatewise, each
@@ -251,11 +249,12 @@ def packed_element(P: packed.Packing, x):
 
 
 def named(v: Verdict, items) -> Verdict:
-    """v with each int in its witnesses replaced by items[int]: every int in a
-    sweep's witness is a position in items (labels are str, components lists)."""
-    return replace(v, witnesses=tuple(
-        tuple(items[w] if type(w) is int else w for w in witness)
-        for witness in v.witnesses))
+    """v with each int in its witnesses, and in the tuples inside them,
+    replaced by items[int]: every such int in a sweep's witness is a position
+    in items (labels are str, components lists)."""
+    def name(w):
+        return items[w] if type(w) is int else tuple(map(name, w)) if type(w) is tuple else w
+    return replace(v, witnesses=tuple(map(name, v.witnesses)))
 
 
 def _axiom_probe(X, a, b, c) -> list:
@@ -314,9 +313,10 @@ def _pea_axioms(A, sample, seed, triple_cap, pair_cap, draws) -> Verdict:
         if s is None:
             continue
         checked += 1
+        # the differences only solve; each is re-added here, independently
         d = A.diff_left(s, a)   # s = d + a
         e = A.diff_right(b, s)  # s = b + e
-        if d is None or e is None:
+        if d is None or e is None or add(d, a) != s or add(b, e) != s:
             return Verdict.failure(("axiom-iii", i, j), checked)
 
     # (i) associativity with definedness, both directions
@@ -370,28 +370,27 @@ def _refine(A: KiteAlgebra, a1, a2, b1, b2, c11):
 
 
 def sum_classes(A: KiteAlgebra, sample: list[KiteElement]) -> list[list]:
-    """The sample pairs (a, b) with a defined sum, grouped by that sum, in
-    the order each sum first appears."""
+    """The position pairs (i, j) of the sample whose sum sample[i] +
+    sample[j] is defined, grouped by that sum, in the order each sum first
+    appears."""
     by_sum: dict[KiteElement, list] = {}
-    for a, b in itertools.product(sample, repeat=2):
-        s = A.add(a, b)
+    sums = itertools.starmap(A.add, itertools.product(sample, repeat=2))
+    for ij, s in zip(itertools.product(range(len(sample)), repeat=2), sums):
         if s is not None:
-            by_sum.setdefault(s, []).append((a, b))
+            by_sum.setdefault(s, []).append(ij)
     return list(by_sum.values())
 
 
 def quadruple_box(classes) -> Box:
-    """The quadruples (a1, a2, b1, b2) with (a1, a2) and (b1, b2) in one sum
+    """The quadruples (i1, i2, j1, j2) with (i1, i2) and (j1, j2) in one sum
     class, class by class."""
     return Box((lambda t: t[0] + t[1], pairs, 2) for pairs in classes)
 
 
 def rdp_quadruples(A: KiteAlgebra, sample: list[KiteElement], box=None):
-    """All (a1, a2, b1, b2) from the sample with a1+a2 = b1+b2 defined.
-
-    box, when given, is ``quadruple_box(sum_classes(A, sample))`` already
-    built.
-    """
+    """All position quadruples (i1, i2, j1, j2) of the sample with
+    sample[i1] + sample[i2] = sample[j1] + sample[j2] defined; box, when
+    given, is ``quadruple_box(sum_classes(A, sample))`` already built."""
     yield from quadruple_box(sum_classes(A, sample)) if box is None else box
 
 
@@ -419,23 +418,26 @@ def find_kite_refinement(A: KiteAlgebra, a1, a2, b1, b2,
 
 
 def corner_memo(A: KiteAlgebra, sample: list[KiteElement]):
-    """On a lattice, refined(a1, a2, b1, b2): whether find_kite_refinement
-    refines the quadruple, with the corner of (a1, b1) computed once per
-    sample pair.  The corner is c12 and c21 from c11 = a1 ^ b1 when both
-    exist and c12 ^ c21 = 0; each quadruple then checks only c12 + c22 = b2
-    for c22 = diff_right(c21, a2).  Corners sit in two flat n x n lists
-    (False where a pair has none), interned so that the lists share one
-    reference per distinct element: the memo holds no object per pair."""
-    at = {x: i for i, x in enumerate(sample)}
+    """On a lattice, refined(i1, i2, j1, j2): whether find_kite_refinement
+    refines the quadruple (a1, a2, b1, b2) of the sample at those positions,
+    with the corner of (a1, b1) computed once per sample pair.  The corner is
+    c12 and c21 from c11 = a1 ^ b1 when both exist and c12 ^ c21 = 0; each
+    quadruple then checks only c12 + c22 = b2 for c22 = diff_right(c21, a2),
+    solved once per distinct (c21, a2).  Corners sit in two flat n x n lists
+    at i1*n + j1 (False where a pair has none), and they and the c22 are
+    interned, so that the memo holds one reference per distinct element and
+    no object per pair."""
     n = len(sample)
     c12s, c21s = [None] * (n * n), [None] * (n * n)
     interned: dict[KiteElement, KiteElement] = {}
+    c22s: dict[int, Optional[KiteElement]] = {}
     diff_right, add = A.diff_right, A.add
 
-    def refined(a1, a2, b1, b2) -> bool:
-        k = at[a1] * n + at[b1]
+    def refined(i1, i2, j1, j2) -> bool:
+        k = i1 * n + j1
         c12 = c12s[k]
         if c12 is None:
+            a1, b1 = sample[i1], sample[j1]
             c11 = A.meet(a1, b1)
             c12, c21 = diff_right(c11, a1), diff_right(c11, b1)
             if c12 is None or c21 is None or not A.meet_is_zero(c12, c21):
@@ -445,8 +447,12 @@ def corner_memo(A: KiteAlgebra, sample: list[KiteElement]):
             c12s[k], c21s[k] = c12, c21
         if c12 is False:
             return False
-        c22 = diff_right(c21s[k], a2)
-        return c22 is not None and add(c12, c22) == b2
+        key = id(c21s[k]) * n + i2  # c21 is interned: its id names it while the memo lives
+        c22 = c22s.get(key, False)
+        if c22 is False:
+            c22 = diff_right(c21s[k], sample[i2])
+            c22 = c22s[key] = interned.setdefault(c22, c22)  # None interns to itself
+        return c22 is not None and add(c12, c22) == sample[j2]
     return refined
 
 
@@ -459,33 +465,29 @@ def check_kite_rdp(A: KiteAlgebra, sample: list[KiteElement],
     Above quad_cap, quad_cap positions of the quadruple box are drawn and
     read one at a time, so no list of quadruples is held.
 
+    The sweep runs on sample positions; witnesses are named from the sample.
     On a lattice the meet is the only candidate, so the quadruples read
     `corner_memo`, which computes each sample pair's corner once; up to 256
-    box positions re-run `find_kite_refinement` first (`recheck`), and a
-    disagreement is a kernel-disagreement FAIL naming the quadruple.  Off a
-    lattice each quadruple goes through `find_kite_refinement`.
+    box positions re-run `find_kite_refinement` on the sample's elements first
+    (`recheck`), and a disagreement is a kernel-disagreement FAIL naming the
+    quadruple.  Off a lattice each quadruple goes through `find_kite_refinement`.
     """
     box = quadruple_box(sum_classes(A, sample))
+
+    def searched(*quad) -> bool:
+        return find_kite_refinement(A, *map(sample.__getitem__, quad), sample) is not None
     if A.G.has_meet:
         refined = corner_memo(A, sample)
-
-        def agrees(i):
-            quad = box[i]
-            return refined(*quad) == (find_kite_refinement(A, *quad, sample) is not None)
-        bad = recheck(box, 1, agrees,
+        bad = recheck(box, 1, lambda i: refined(*box[i]) == searched(*box[i]),
                       detail="corner memo and find_kite_refinement disagree")
         if bad is not None:
-            return bad
+            return named(bad, sample)
     else:
-        def refined(a1, a2, b1, b2):
-            return find_kite_refinement(A, a1, a2, b1, b2, sample) is not None
+        refined = searched
     if len(box) <= quad_cap:
         quads = rdp_quadruples(A, sample, box)
-    else:
-        # the positions random.sample would pick from list(box), each
-        # built when it is read
-        rng = random.Random(seed)
-        quads = map(box.__getitem__, rng.sample(range(len(box)), quad_cap))
+    else:  # the positions random.sample would pick from list(box), each built when read
+        quads = map(box.__getitem__, random.Random(seed).sample(range(len(box)), quad_cap))
     checked, found, witnesses = min(len(box), quad_cap), 0, []
     for quad in quads:
         if refined(*quad):
@@ -493,9 +495,7 @@ def check_kite_rdp(A: KiteAlgebra, sample: list[KiteElement],
         elif len(witnesses) < 5:
             witnesses.append(quad)
     if found < checked:
-        return Verdict(
-            "INCONCLUSIVE", checked=checked, witnesses=tuple(witnesses),
-            detail=f"{found}/{checked} quadruples refined; "
-                   f"{checked - found} without a witness in the box",
-        )
+        return named(Verdict("INCONCLUSIVE", checked, tuple(witnesses),
+                             f"{found}/{checked} quadruples refined; "
+                             f"{checked - found} without a witness in the box"), sample)
     return Verdict.passed(checked, detail=f"all {found} quadruples refined")

@@ -89,9 +89,9 @@ class Packing:
     """Packed elements with n coordinates in a built-in lattice G, every
     scalar of absolute value at most bound; sums of up to three of them, and
     their differences, stay exact.  The differences take members of the kite
-    (Lower coordinates positive, Upper ones negative), for which the object
-    path's re-addition of a difference always holds.  The complements are the
-    differences from `one`.
+    (Lower coordinates positive, Upper ones negative), as the object path's
+    do: a member candidate's sum is the target by construction, so neither
+    re-adds.  The complements are the differences from `one`.
 
     The twists are sys's: at position i the lam_inv- and rho_inv-twisted
     segments carry coordinates sys.lam_inv[i] and sys.rho_inv[i].  `add`

@@ -292,11 +292,11 @@ def embed_kite_element(x: KiteElement) -> LoopElement:
     return LoopElement(0 if x.tag == LOWER else 1, x.coords)
 
 
-def embed_kite(A: KiteAlgebra, bound: int = 2) -> Verdict:
+def embed_kite(A: KiteAlgebra, bound: int = 2, seed: int = 0) -> Verdict:
     """Verify that phi is an isomorphism of partial algebras between the kite
     box and the interval box: bijective, preserves 0, 1, order, and the
-    definedness and value of + on the box pairs: all of them up to 600,000,
-    else 40,000 seeded draws; a pair witness names two kite box elements.
+    definedness and value of + on the box pairs: all up to 600,000, else
+    40,000 draws from Random(seed); a pair witness names two kite box elements.
 
     The pair sweep runs on the kernel that `choose_kernel` picks.  Packed,
     each element is its own image: the kite sum against the loop product, and
@@ -322,7 +322,7 @@ def embed_kite(A: KiteAlgebra, bound: int = 2) -> Verdict:
     K, xs = choose_kernel(A, kite_box)
     if K is A:
         return named(_embed_pairs(A, W.leq, gamma.add, embed_kite_element, kite_box, images,
-                                  checked), kite_box)
+                                  checked, seed), kite_box)
 
     def agrees(i, j):
         x, y, p, q = kite_box[i], kite_box[j], images[i], images[j]
@@ -337,15 +337,15 @@ def embed_kite(A: KiteAlgebra, bound: int = 2) -> Verdict:
         levels, then fields, that K.leq spells."""
         return K.diff_left(q, p) is not None
     return recheck(kite_box, 2, agrees, checked) or named(
-        _embed_pairs(K, interval_leq, K.product, lambda s: s, xs, xs, checked), kite_box)
+        _embed_pairs(K, interval_leq, K.product, lambda s: s, xs, xs, checked, seed), kite_box)
 
 
-def _embed_pairs(K, interval_leq, interval_add, phi, xs, ps, checked) -> Verdict:
+def _embed_pairs(K, interval_leq, interval_add, phi, xs, ps, checked, seed) -> Verdict:
     """The pair sweep of embed_kite: K's order and sum on the kite items xs
     against the interval's on their images ps, phi mapping a kite sum to its
     image; a witness names the pair's positions in xs."""
     draws = 40_000
-    exhaustive, pairs = sweep(range(len(xs)), 2, 600_000, draws, random.Random(0))
+    exhaustive, pairs = sweep(range(len(xs)), 2, 600_000, draws, random.Random(seed))
     kite_leq, kite_add = K.leq, K.add
     for i, j in pairs:
         checked += 1

@@ -4,6 +4,7 @@ command-line entry point."""
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -36,7 +37,7 @@ from kitealg import subdirect as sd
 from kitealg.kite import KiteAlgebra
 from kitealg.pogroup import MAX_NESTING, parse_group
 from kitealg.poloop import PoLoop
-from kitealg.verdict import FAIL, PASS, Box, Verdict
+from kitealg.verdict import FAIL, PASS, Box, Verdict, sweep
 
 EX82_SPEC = """\
 # four-index example system
@@ -290,6 +291,32 @@ def test_planted_kernel_fault_fails_the_subdirect_entry(monkeypatch):
     assert entry["kernel_check"] == planted.to_json()
     assert entry["witnesses"] == [repr(("kernel-intersection", "planted"))]
     assert all(v["status"] == PASS for v in entry["report"]["surjectivity"])
+
+
+# boxes above the pair caps, so both sweeps draw: cycles-3 over Z^2 (1,458
+# elements, 2.1M pairs above embed's 600,000) and a two-component system over
+# Z (486 elements, 236,196 pairs above subdirect's 200,000)
+@pytest.mark.parametrize("suite, module, spec_text", [
+    ("embed", pl, "group = Z^2\nn = 3\nlambda = [2,3,1]\nrho = [3,1,2]\nbound = 2\n"),
+    ("subdirect", sd, "group = Z\nn = 5\nlambda = [2,1,3,4,5]\nrho = [1,2,4,5,3]\nbound = 2\n"),
+])
+def test_embed_and_subdirect_draw_pairs_from_the_spec_seed(monkeypatch, suite, module,
+                                                          spec_text):
+    drawn = []
+
+    def recording(space, arity, cap, draws, rng):
+        exhaustive, tuples = sweep(space, arity, cap, draws, rng)
+        drawn.append((exhaustive, list(tuples), space, cap, draws))
+        return exhaustive, iter(drawn[-1][1])
+
+    monkeypatch.setattr(module, "sweep", recording)
+    for seed in (0, 7):
+        report = run_suite(parse_spec(spec_text + f"seed = {seed}\n"), suite)
+        assert report["status"] == PASS
+    (exhaustive0, pairs0, *_), (exhaustive7, pairs7, space, cap, draws) = drawn
+    assert not exhaustive0 and not exhaustive7 and pairs0 != pairs7
+    assert pairs7 == list(sweep(space, 2, cap, draws, random.Random(7))[1])
+    assert pairs0 == list(sweep(space, 2, cap, draws, random.Random(0))[1])
 
 
 def _paper_spec(name, group="Z"):

@@ -139,6 +139,33 @@ class TestDivision:
             assert A.diff_right(a, s) == b, (a, b)
         assert tags == {("L", "L"), ("L", "U"), ("U", "L")}
 
+    # a search of the bound-2 box, independent of the solves: twisted sums
+    # over Z and Z^2, and on one coordinate (where that box stays small) a
+    # group with no meet and a non-commutative one
+    @pytest.mark.parametrize("G, lam, rho", [
+        (Z, [2, 3, 1], [3, 1, 2]),
+        (VectorGroup(2), [2, 1], [1, 2]),
+        (LexProduct(VectorGroup(2), Z), [1], [1]),
+        (_twisted_group(), [1], [1]),
+    ], ids=["Z", "Z^2", "lex(Z^2,Z)", "loop-group"])
+    def test_kite_differences_are_the_box_solutions(self, G, lam, rho):
+        A = KiteAlgebra(G, system(lam, rho))
+        box = list(A.enumerate_box(1))
+        inside = set(box)
+        right, left = {}, {}  # (a, a + x) -> x and (x + a, a) -> x
+        for x in A.enumerate_box(2):
+            for a in box:
+                s = A.add(a, x)
+                if s in inside:
+                    assert right.setdefault((a, s), x) == x
+                s = A.add(x, a)
+                if s in inside:
+                    assert left.setdefault((s, a), x) == x
+        assert right and left
+        for a, b in itertools.product(box, repeat=2):
+            assert A.diff_right(a, b) == right.get((a, b)), (a, b)
+            assert A.diff_left(b, a) == left.get((b, a)), (a, b)
+
 
 class TestOrder:
     def test_lexicographic(self, W82):

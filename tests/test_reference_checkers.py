@@ -51,7 +51,8 @@ def reference_check_pea_axioms(A, sample, seed=0, triple_cap=600_000,
         if s is None:
             continue
         checked += 1
-        if A.diff_left(s, a) is None or A.diff_right(b, s) is None:
+        d, e = A.diff_left(s, a), A.diff_right(b, s)
+        if d is None or e is None or add(d, a) != s or add(b, e) != s:
             return Verdict.failure(("axiom-iii", a, b), checked)
     exhaustive, triples = sweep(sample, 3, triple_cap, draws, rng)
     for a, b, c in triples:
@@ -148,6 +149,24 @@ def test_planted_faults_agree(cls, tag, regime):
     assert v.witnesses[0][0] == tag
 
 
+class WrongDifference(KiteAlgebra):
+    """(iii): the right difference of L[1,1,0,0] by L[1,0,0,0] is the member
+    L[0,0,1,0], not L[0,1,0,0]; a difference that solved and tested
+    membership alone would pass it, so only the re-addition finds it."""
+
+    def diff_right(self, a, b):
+        if a == self.lower(1, 0, 0, 0) and b == self.lower(1, 1, 0, 0):
+            return self.lower(0, 0, 1, 0)
+        return super().diff_right(a, b)
+
+
+def test_wrong_difference_is_an_axiom_iii_fault():
+    A = WrongDifference(Z, system(*EX_8_2))
+    v = _both(A, A.enumerate_box(1), 0, "exhaustive")
+    assert v.failed
+    assert v.witnesses[0] == ("axiom-iii", A.lower(0, 1, 0, 0), A.lower(1, 0, 0, 0))
+
+
 def test_closed_form_fault_agrees():
     class WrongTilde(KiteAlgebra):
         def complement_tilde(self, x):
@@ -164,8 +183,9 @@ def test_closed_form_fault_agrees():
 
 def reference_check_kite_rdp(A, sample, quad_cap=300_000, seed=0):
     """check_kite_rdp as one find_kite_refinement per quadruple of the list
-    random.sample draws from, or of every quadruple under the cap."""
-    quads = list(kite.rdp_quadruples(A, sample))
+    random.sample draws from, or of every quadruple under the cap; the
+    quadruples are named from their sample positions up front."""
+    quads = [tuple(map(sample.__getitem__, q)) for q in kite.rdp_quadruples(A, sample)]
     if len(quads) > quad_cap:
         quads = random.Random(seed).sample(quads, quad_cap)
     found, witnesses = 0, []
@@ -237,6 +257,7 @@ def test_rdp_verdict_matches_reference(group, regime, cls):
 def test_fault_in_the_memo_alone_is_a_kernel_disagreement(monkeypatch):
     A = KiteAlgebra(Z, system(*EX_8_5))
     sample = A.enumerate_box(1)
+    # the memo takes sample positions; the witness names their elements
     box = kite.quadruple_box(kite.sum_classes(A, sample))
     (first,), = itertools.islice(packed.recheck_tuples(len(box), 1), 1)
     target, memo = box[first], kite.corner_memo
@@ -247,7 +268,8 @@ def test_fault_in_the_memo_alone_is_a_kernel_disagreement(monkeypatch):
 
     monkeypatch.setattr(kite, "corner_memo", wrong_at_target)
     assert kite.check_kite_rdp(A, sample) == Verdict.failure(
-        ("kernel-disagreement", target), 0, "corner memo and find_kite_refinement disagree")
+        ("kernel-disagreement", tuple(map(sample.__getitem__, target))), 0,
+        "corner memo and find_kite_refinement disagree")
 
 
 @pytest.mark.parametrize("group, searched", [("Z", "re-check"), ("lex(Z^2,Z)", "all")])
