@@ -369,12 +369,12 @@ def _refine(A: KiteAlgebra, a1, a2, b1, b2, c11):
     return c12, c21, c22
 
 
-def sum_classes(A: KiteAlgebra, sample: list[KiteElement]) -> list[list]:
+def sum_classes(X, sample) -> list[list]:
     """The position pairs (i, j) of the sample whose sum sample[i] +
     sample[j] is defined, grouped by that sum, in the order each sum first
-    appears."""
-    by_sum: dict[KiteElement, list] = {}
-    sums = itertools.starmap(A.add, itertools.product(sample, repeat=2))
+    appears; X is a kite or its packing, the sample its elements."""
+    by_sum: dict = {}
+    sums = itertools.starmap(X.add, itertools.product(sample, repeat=2))
     for ij, s in zip(itertools.product(range(len(sample)), repeat=2), sums):
         if s is not None:
             by_sum.setdefault(s, []).append(ij)
@@ -387,11 +387,11 @@ def quadruple_box(classes) -> Box:
     return Box((lambda t: t[0] + t[1], pairs, 2) for pairs in classes)
 
 
-def rdp_quadruples(A: KiteAlgebra, sample: list[KiteElement], box=None):
+def rdp_quadruples(X, sample, box=None):
     """All position quadruples (i1, i2, j1, j2) of the sample with
     sample[i1] + sample[i2] = sample[j1] + sample[j2] defined; box, when
-    given, is ``quadruple_box(sum_classes(A, sample))`` already built."""
-    yield from quadruple_box(sum_classes(A, sample)) if box is None else box
+    given, is ``quadruple_box(sum_classes(X, sample))`` already built."""
+    yield from quadruple_box(sum_classes(X, sample)) if box is None else box
 
 
 def find_kite_refinement(A: KiteAlgebra, a1, a2, b1, b2,
@@ -417,30 +417,29 @@ def find_kite_refinement(A: KiteAlgebra, a1, a2, b1, b2,
     return None
 
 
-def corner_memo(A: KiteAlgebra, sample: list[KiteElement]):
+def corner_memo(X, sample):
     """On a lattice, refined(i1, i2, j1, j2): whether find_kite_refinement
     refines the quadruple (a1, a2, b1, b2) of the sample at those positions,
-    with the corner of (a1, b1) computed once per sample pair.  The corner is
-    c12 and c21 from c11 = a1 ^ b1 when both exist and c12 ^ c21 = 0; each
-    quadruple then checks only c12 + c22 = b2 for c22 = diff_right(c21, a2),
-    solved once per distinct (c21, a2).  Corners sit in two flat n x n lists
-    at i1*n + j1 (False where a pair has none), and they and the c22 are
-    interned, so that the memo holds one reference per distinct element and
-    no object per pair."""
+    with the corner of (a1, b1) computed once per sample pair.  X is a kite
+    or its packing, the sample its elements.  The corner is c12 and c21 from
+    c11 = a1 ^ b1 when both exist and c12 ^ c21 = 0; each quadruple then
+    checks only c12 + c22 = b2 for c22 = diff_right(c21, a2), solved once per
+    distinct (c21, a2).  Corners sit in two flat n x n lists at i1*n + j1
+    (False where a pair has none), and they and the c22 are interned, so that
+    the memo holds one reference per distinct element and no object per pair."""
     n = len(sample)
     c12s, c21s = [None] * (n * n), [None] * (n * n)
-    interned: dict[KiteElement, KiteElement] = {}
-    c22s: dict[int, Optional[KiteElement]] = {}
-    diff_right, add = A.diff_right, A.add
+    interned, c22s = {}, {}
+    diff_right, add = X.diff_right, X.add
 
     def refined(i1, i2, j1, j2) -> bool:
         k = i1 * n + j1
         c12 = c12s[k]
         if c12 is None:
             a1, b1 = sample[i1], sample[j1]
-            c11 = A.meet(a1, b1)
+            c11 = X.meet(a1, b1)
             c12, c21 = diff_right(c11, a1), diff_right(c11, b1)
-            if c12 is None or c21 is None or not A.meet_is_zero(c12, c21):
+            if c12 is None or c21 is None or not X.meet_is_zero(c12, c21):
                 c12 = c21 = False
             else:
                 c12, c21 = interned.setdefault(c12, c12), interned.setdefault(c21, c21)
@@ -465,19 +464,27 @@ def check_kite_rdp(A: KiteAlgebra, sample: list[KiteElement],
     Above quad_cap, quad_cap positions of the quadruple box are drawn and
     read one at a time, so no list of quadruples is held.
 
-    The sweep runs on sample positions; witnesses are named from the sample.
-    On a lattice the meet is the only candidate, so the quadruples read
-    `corner_memo`, which computes each sample pair's corner once; up to 256
-    box positions re-run `find_kite_refinement` on the sample's elements first
-    (`recheck`), and a disagreement is a kernel-disagreement FAIL naming the
-    quadruple.  Off a lattice each quadruple goes through `find_kite_refinement`.
+    The sweep runs on sample positions, its sum classes and corner memo on
+    the kernel `choose_kernel` picks; witnesses are named from the sample.
+    Packed, up to 256 sample pairs first compare the kernel's sum with the
+    kite's (`recheck`): the sum classes decide `checked`.  On a lattice the
+    meet is the only candidate, so the quadruples read `corner_memo`, which
+    computes each sample pair's corner once; up to 256 box positions re-run
+    `find_kite_refinement` on the sample's elements first, and a disagreement
+    is a kernel-disagreement FAIL naming the quadruple.  Off a lattice each
+    quadruple goes through `find_kite_refinement`.
     """
-    box = quadruple_box(sum_classes(A, sample))
+    K, values = choose_kernel(A, sample)
+    bad = K is not A and recheck(sample, 2, lambda i, j: K.add(values[i], values[j])
+                                 == packed_element(K, A.add(sample[i], sample[j])))
+    if bad:
+        return bad
+    box = quadruple_box(sum_classes(K, values))
 
     def searched(*quad) -> bool:
         return find_kite_refinement(A, *map(sample.__getitem__, quad), sample) is not None
     if A.G.has_meet:
-        refined = corner_memo(A, sample)
+        refined = corner_memo(K, values)
         bad = recheck(box, 1, lambda i: refined(*box[i]) == searched(*box[i]),
                       detail="corner memo and find_kite_refinement disagree")
         if bad is not None:
@@ -485,7 +492,7 @@ def check_kite_rdp(A: KiteAlgebra, sample: list[KiteElement],
     else:
         refined = searched
     if len(box) <= quad_cap:
-        quads = rdp_quadruples(A, sample, box)
+        quads = rdp_quadruples(K, values, box)
     else:  # the positions random.sample would pick from list(box), each built when read
         quads = map(box.__getitem__, random.Random(seed).sample(range(len(box)), quad_cap))
     checked, found, witnesses = min(len(box), quad_cap), 0, []

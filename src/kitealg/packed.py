@@ -13,9 +13,10 @@ The tag bit is set in every segment of an Upper element (interval level 1),
 whose three segments are equal: only a Lower element is ever twisted.  With
 its twists stored, a mixed sum is one add and one cone mask test, a Lower +
 Lower sum is one add of whole ints, and Upper + Upper is told by the tag
-bits adding up to 2.  Order and differences are a subtraction and a mask.
+bits adding up to 2.  Order and differences are a subtraction and a mask,
+and a meet is a subtraction with every headroom bit set, read at those bits.
 
-A `Packing` offers the kite operations that the axiom, embedding and
+A `Packing` offers the kite operations that the axiom, rdp, embedding and
 subdirect checkers call, over these ints, a subdirect component's on its
 parent's packing (`restriction`).  They also serve the interval Gamma(W, u)
 of the po-loop, Lower at level 0 and Upper at level 1: `product` is the loop
@@ -91,7 +92,8 @@ class Packing:
     their differences, stay exact.  The differences take members of the kite
     (Lower coordinates positive, Upper ones negative), as the object path's
     do: a member candidate's sum is the target by construction, so neither
-    re-adds.  The complements are the differences from `one`.
+    re-adds.  The complements are the differences from `one`.  The meet is
+    fieldwise, G's in each coordinate, and a Lower element's with an Upper one is itself.
 
     The twists are sys's: at position i the lam_inv- and rho_inv-twisted
     segments carry coordinates sys.lam_inv[i] and sys.rho_inv[i].  `add`
@@ -105,7 +107,7 @@ class Packing:
         # the bias exceeds 8 * scalar_bound, so sums and differences of up to
         # three, plus mask offsets, stay in the field
         w = (8 * scalar_bound).bit_length() + 2
-        B = 1 << (w - 2)
+        B, FIELD = 1 << (w - 2), (1 << w) - 1
         self.sys = sys
         fields = sys.n * k
         shifts = [w * f for f in range(fields)]
@@ -179,12 +181,21 @@ class Packing:
             c = b - a + BIAS3
             return c if positive(c & SEG) else None
 
-        self.add, self.product, self.leq = add, product, leq
+        def meet(x, y):
+            """The fieldwise min, which commutes with the twists: x - y with every headroom
+            bit set keeps it where x >= y; widened to a mask, it takes those fields from y."""
+            if (x ^ y) & TAG:
+                return y if x & TAG else x
+            m = (((x | HI3) - (y & ~HI3) & HI3) >> w - 1) * FIELD
+            return y & m | x & ~m
+
+        self.add, self.product, self.leq, self.meet = add, product, leq, meet
         self.diff_left, self.diff_right = diff_left, diff_right
-        self.zero = lower(BIAS)
+        self.zero = zero = lower(BIAS)
         self.one = one = (TAG + BIAS) * REP
         self.complement_minus = lambda x: diff_left(one, x)
         self.complement_tilde = lambda x: diff_right(x, one)
+        self.meet_is_zero = lambda x, y: meet(x, y) == zero
 
     def lower(self, plain: int) -> int:
         """The Lower element with this plain segment."""

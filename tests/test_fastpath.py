@@ -9,8 +9,9 @@ operation by operation against the object path on every kind of layout
 must return the same Verdict as on a subclass (which takes the object path),
 each building one Packing where it runs packed and none where it does not,
 and a wrong twist in the kernel, or a lex multiplier M too small for the
-order embedding, must surface as a FAIL; embed's sweep must find a wrong
-kite sum or a wrong order without the re-check.
+order embedding, must surface as a FAIL, as must a wrong packed meet in
+rdp; embed's sweep must find a wrong kite sum or a wrong order without the
+re-check.
 """
 
 import random
@@ -20,7 +21,8 @@ import pytest
 from kitealg import packed
 from kitealg.cli import bounded_sample
 from kitealg.indexsys import IndexSystem, components, perm_inverse
-from kitealg.kite import LOWER, UPPER, KiteAlgebra, KiteElement, check_pea_axioms
+from kitealg.kite import (LOWER, UPPER, KiteAlgebra, KiteElement, check_kite_rdp,
+                          check_pea_axioms)
 from kitealg.pogroup import IntegerGroup, LexProduct, PoGroup, parse_group
 from kitealg.poloop import GammaInterval, LoopElement, PoLoop, embed_kite
 from kitealg.subdirect import subdirect_embedding_check
@@ -219,6 +221,7 @@ def test_packed_operations_match_objects(group, bound):
             outcomes.add((x.tag, y.tag, s is not None))
             assert K.add(kite(x), kite(y)) == kite(s)
             assert K.leq(kite(x), kite(y)) == A.leq(x, y)
+            assert K.meet(kite(x), kite(y)) == kite(A.meet(x, y))
             assert K.diff_left(kite(x), kite(y)) == kite(A.diff_left(x, y))
             assert K.diff_right(kite(x), kite(y)) == kite(A.diff_right(x, y))
             assert K.product(kite(x), kite(y)) == interval(gamma.add(px, py))
@@ -228,6 +231,7 @@ def test_packed_operations_match_objects(group, bound):
             # three-fold sums and differences of a sum stay inside the fields
             for got, want in [(K.add(kite(s), kite(z)), A.add(s, z)),
                               (K.add(kite(z), kite(s)), A.add(z, s)),
+                              (K.meet(kite(s), kite(z)), A.meet(s, z)),
                               (K.diff_left(kite(s), kite(y)), A.diff_left(s, y)),
                               (K.diff_right(kite(x), kite(s)), A.diff_right(x, s)),
                               (K.diff_left(kite(s), kite(x)), A.diff_left(s, x)),
@@ -291,19 +295,31 @@ def test_subdirect_report_matches_object_path(group, lam_rho, bound, pair_cap):
     assert got.verdict.ok and got == want
 
 
+def _rdp_sample(box, limit=None):
+    """rdp's sample: its sum classes take every pair, so at most 60 elements."""
+    return bounded_sample(box, min(limit or 60, 60), 0)
+
+
 def _verdicts(A, limit=None):
-    """The verdicts of the three checkers that run packed, at bound 1, the
+    """The verdicts of the four checkers that run packed, at bound 1, the
     axioms' on a sample of at most limit box elements."""
     box = list(A.enumerate_box(1))
     sample = bounded_sample(box, limit or len(box), 0)
     return [check_pea_axioms(A, sample), embed_kite(A, 1),
-            subdirect_embedding_check(A, 1).hom_preservation]
+            subdirect_embedding_check(A, 1).hom_preservation,
+            check_kite_rdp(A, _rdp_sample(box, limit))]
+
+
+def _assert_disagrees(v):
+    assert v.failed and v.witnesses[0][0] == "kernel-disagreement"
+    # elements, or rdp's quadruple of them
+    for w in v.witnesses[0][1:]:
+        assert all(isinstance(x, KiteElement) for x in (w if type(w) is tuple else (w,)))
 
 
 def _assert_every_checker_disagrees(A):
     for v in _verdicts(A):
-        assert v.failed and v.witnesses[0][0] == "kernel-disagreement"
-        assert all(isinstance(w, KiteElement) for w in v.witnesses[0][1:])
+        _assert_disagrees(v)
 
 
 # one group of each layout kind, with a system whose box at bound 1 the
@@ -320,9 +336,47 @@ def test_wrong_twist_fails_every_checker(monkeypatch):
     for group, lam_rho in LAYOUT_KINDS:
         _assert_every_checker_disagrees(KiteAlgebra(parse_group(group), system(*lam_rho)))
     # lex(Z^2,Z) has no meet and no layout: it runs on objects, which the
-    # broken twist cannot reach, so a wider supports() would fail here
-    v = _verdicts(KiteAlgebra(parse_group("lex(Z^2,Z)"), system([1, 2], [2, 1])), 24)
-    assert all(x.ok for x in v), v
+    # broken twist cannot reach, so a wider supports() would fail here; its
+    # rdp search, off a lattice, leaves quadruples without a witness
+    *v, rdp = _verdicts(KiteAlgebra(parse_group("lex(Z^2,Z)"), system([1, 2], [2, 1])), 24)
+    assert all(x.ok for x in v) and rdp.status == "INCONCLUSIVE", (v, rdp)
+
+
+def test_packed_meet_matches_objects():
+    # on each layout kind's bound-1 box: every pair of a sample holding both
+    # tags, 0, 1 and the Upper element at -1 in every field, where x - y
+    # would borrow from the next field without the headroom bits
+    for group, lam_rho in LAYOUT_KINDS:
+        A = KiteAlgebra(parse_group(group), system(*lam_rho))
+        bottom = next(g for g in A.G.cones(1)[1] if set(A.G.encode(g)) == {-1})
+        extremes = (A.zero, A.one, KiteElement(UPPER, (bottom,) * A.sys.n))
+        sample = bounded_sample(list(A.enumerate_box(1)), 120, 0, keep=extremes)
+        K = packed.Packing(A.G, A.sys, 1)
+        values = [K.pack(x.tag == UPPER, x.coords) for x in sample]
+        tags = set()
+        for x, px in zip(sample, values):
+            for y, py in zip(sample, values):
+                m = A.meet(x, y)
+                assert K.meet(px, py) == K.pack(m.tag == UPPER, m.coords), (group, x, y)
+                tags.add((x.tag, y.tag))
+        assert len(tags) == 4
+
+
+def test_wrong_meet_fails_rdp(monkeypatch):
+    # the kernel's meet is the fieldwise max: only rdp's corner memo reads
+    # it, and the re-check against find_kite_refinement must tell
+    class MaxMeet(packed.Packing):
+        def __init__(self, *args):
+            super().__init__(*args)
+            meet = self.meet
+            self.meet = lambda x, y: x + y - meet(x, y)
+
+    monkeypatch.setattr(packed, "Packing", MaxMeet)
+    for group, lam_rho in LAYOUT_KINDS:
+        A = KiteAlgebra(parse_group(group), system(*lam_rho))
+        v = check_kite_rdp(A, _rdp_sample(list(A.enumerate_box(1))))
+        _assert_disagrees(v)
+        assert v.detail == "corner memo and find_kite_refinement disagree", group
 
 
 def test_one_packing_per_packed_check(monkeypatch):
@@ -344,18 +398,21 @@ def test_one_packing_per_packed_check(monkeypatch):
         counts = []
         for check in (lambda: check_pea_axioms(A, bounded_sample(box, 24, 0)),
                       lambda: embed_kite(A, 1),
-                      lambda: subdirect_embedding_check(A, 1, 3_000).verdict):
+                      lambda: subdirect_embedding_check(A, 1, 3_000).verdict,
+                      lambda: check_kite_rdp(A, bounded_sample(box, 24, 0))):
             built.clear()
-            assert check().ok
+            v = check()
+            # off a lattice the rdp search leaves quadruples without a witness
+            assert v.ok or not A.G.has_meet and v.status == "INCONCLUSIVE", v
             counts.append(len(built))
         return counts
 
     for group, lam_rho in LAYOUT_KINDS:
-        assert packings(KiteAlgebra(parse_group(group), system(*lam_rho))) == [1, 1, 1], group
+        assert packings(KiteAlgebra(parse_group(group), system(*lam_rho))) == [1] * 4, group
     assert len(components(system(*EX_8_2))) == 3
-    assert packings(KiteAlgebra(parse_group("lex(Z^2,Z)"), system([1, 2], [2, 1]))) == [0, 0, 0]
+    assert packings(KiteAlgebra(parse_group("lex(Z^2,Z)"), system([1, 2], [2, 1]))) == [0] * 4
     for group, lam_rho in [("Z", EX_8_2), ("Z^2", SWAP_2)]:
-        assert packings(ObjectPath(parse_group(group), system(*lam_rho))) == [0, 0, 0]
+        assert packings(ObjectPath(parse_group(group), system(*lam_rho))) == [0] * 4
 
 
 LAYOUT = packed.layout

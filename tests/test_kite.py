@@ -294,8 +294,9 @@ class TestRdp:
     def test_corner_memo_memory_is_bounded(self):
         # the memo holds two n x n lists of shared references, not an object
         # per sample pair; on this check the tracemalloc peak read 1.26 MB
-        # before the memo, 1.60 MB with it, and 1.77 MB once it also kept
-        # each distinct (c21, a2)'s c22 (Python 3.11)
+        # before the memo, 1.60 MB with it, 1.77 MB once it also kept each
+        # distinct (c21, a2)'s c22, and 1.49 MB with the memo on packed ints
+        # (Python 3.11)
         A = KiteAlgebra(VectorGroup(2), system(*EX_3_8))
         sample = bounded_sample(A.enumerate_box(1), 120, 0, keep=(A.zero, A.one))
         tracemalloc.start()
