@@ -283,7 +283,7 @@ def _suite_decomposition(spec, G, sys_):
     verdict = ixs.validate_decomposition(sys_, blocks)
     extra = {"blocks": _partition_1based(blocks), "note": note}
     if verdict.ok:
-        mixed = ixs.check_mixed_commutation(sys_, blocks, rng=3)
+        mixed = ixs.check_mixed_commutation(sys_, blocks)
         extra["mixed_commutation"] = mixed.to_json()
         if not mixed.ok:
             verdict = mixed

@@ -15,6 +15,9 @@ from kitealg.verdict import Verdict, merge
 
 COMPOSITION_CONVENTION = "(f o g)(i) = f(g(i)); g applied first"
 
+# the largest |m| and |n| for which check_mixed_commutation compares lam^m and rho^n
+MIXED_POWERS = 3
+
 Perm = tuple[int, ...]
 
 
@@ -234,15 +237,15 @@ def validate_decomposition(sys: IndexSystem, blocks) -> Verdict:
     return merge(verdicts)
 
 
-def check_mixed_commutation(sys: IndexSystem, blocks, rng: int) -> Verdict:
-    """lam^m(rho^n(B)) = rho^n(lam^m(B)) setwise for all |m|,|n| <= rng."""
+def check_mixed_commutation(sys: IndexSystem, blocks) -> Verdict:
+    """lam^m(rho^n(B)) = rho^n(lam^m(B)) setwise for all |m|,|n| <= MIXED_POWERS."""
     blocks = normalize_partition(blocks, sys.n)
     if not validate_decomposition(sys, blocks).ok:
         raise ValueError("decomposition hypotheses not satisfied")
     checked = 0
-    for m in range(-rng, rng + 1):
+    for m in range(-MIXED_POWERS, MIXED_POWERS + 1):
         lam_m = perm_power(sys.lam, m)
-        for n in range(-rng, rng + 1):
+        for n in range(-MIXED_POWERS, MIXED_POWERS + 1):
             rho_n = perm_power(sys.rho, n)
             for b in blocks:
                 checked += 1

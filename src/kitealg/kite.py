@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
 
-from kitealg import packed
+from kitealg import packed, verdict
 from kitealg.indexsys import IndexSystem
 from kitealg.pogroup import PoGroup
 from kitealg.verdict import Box, Verdict, sweep
@@ -189,19 +189,18 @@ class KiteAlgebra:
 # Axiom and property checkers
 # ---------------------------------------------------------------------------
 
-def check_pea_axioms(A: KiteAlgebra, sample: list[KiteElement], seed: int = 0,
-                     triple_cap: int = 600_000, pair_cap: int = 600_000,
-                     draws: int = 40_000) -> Verdict:
+def check_pea_axioms(A: KiteAlgebra, sample: list[KiteElement], seed: int = 0) -> Verdict:
     """Check the four pseudo-effect-algebra axioms over the sample.
 
-    Per-element axioms are exhaustive; the associativity axiom exhausts all
-    triples when their count is at most triple_cap and otherwise uses seeded
-    random draws (reported in the verdict detail).
+    Per-element axioms are exhaustive; the pairs of (iii) and the triples of
+    the associativity axiom (i) are each one `sweep`, exhaustive up to
+    verdict.CAP tuples and otherwise verdict.DRAWS seeded draws (reported in
+    the verdict detail).
 
     When the triples are exhausted, every sample pair sum is computed once
-    into an n x n table that axioms (ii), (iii) and (i) read; n**3 <=
-    triple_cap bounds the table.  When triples are drawn, each sum is
-    computed where it is read, so memory stays linear in the sample.
+    into an n x n table that axioms (ii), (iii) and (i) read; n**3 <= CAP
+    bounds the table.  When triples are drawn, each sum is computed where it
+    is read, so memory stays linear in the sample.
 
     The sweeps run on the kernel that `choose_kernel` picks, packed once a
     seeded sample of triples agrees with the kite's own operations (`recheck`).
@@ -210,23 +209,27 @@ def check_pea_axioms(A: KiteAlgebra, sample: list[KiteElement], seed: int = 0,
     """
     K, values = choose_kernel(A, sample)
     if K is A:
-        return named(_pea_axioms(A, sample, seed, triple_cap, pair_cap, draws), sample)
+        return named(_pea_axioms(A, sample, seed), sample)
 
     def agrees(*t):
         got = _axiom_probe(K, *map(values.__getitem__, t))
         return got == [packed_element(K, r) for r in _axiom_probe(A, *map(sample.__getitem__, t))]
-    return recheck(sample, 3, agrees) or named(
-        _pea_axioms(K, values, seed, triple_cap, pair_cap, draws), sample)
+    return recheck(sample, 3, agrees) or named(_pea_axioms(K, values, seed), sample)
 
 
 def choose_kernel(A, items):
     """The one switch between the packed kernel and the object path: A's
     Packing and the items packed into ints, when A is a KiteAlgebra itself
     (not a subclass) over a built-in lattice and every item is a member;
-    else A and the items themselves.  The fields hold the items' scalars."""
-    if type(A) is KiteAlgebra and packed.supports(A.G) and all(map(A.is_member, items)):
+    else A and the items themselves.  The fields hold the items' scalars.
+    An item is a member when it has n coordinates and its packed int passes
+    `Packing.member`, one mask test of its layer's cone."""
+    n = A.sys.n
+    if type(A) is KiteAlgebra and packed.supports(A.G) and all(len(x.coords) == n for x in items):
         P = packed.Packing(A.G, A.sys, packed.coordinate_bound(A.G, (x.coords for x in items)))
-        return P, [packed_element(P, x) for x in items]
+        values = [packed_element(P, x) for x in items]
+        if all(map(P.member, values)):
+            return P, values
     return A, items
 
 
@@ -269,13 +272,13 @@ def _axiom_probe(X, a, b, c) -> list:
     return out
 
 
-def _pea_axioms(A, sample, seed, triple_cap, pair_cap, draws) -> Verdict:
+def _pea_axioms(A, sample, seed) -> Verdict:
     """check_pea_axioms on A's operations, a kite's or its packing's; witnesses are positions."""
     rng = random.Random(seed)
     add, one, zero = A.add, A.one, A.zero
     n = len(sample)
     indices = range(n)
-    if n ** 3 <= triple_cap:
+    if n ** 3 <= verdict.CAP:
         rows = [[add(a, b) for b in sample] for a in sample]
     else:
         rows = None
@@ -307,7 +310,7 @@ def _pea_axioms(A, sample, seed, triple_cap, pair_cap, draws) -> Verdict:
 
     # (iii) every defined sum decomposes from both sides; sweeping indices
     # draws the same stream as sweeping the sample itself
-    for i, j in sweep(indices, 2, pair_cap, draws, rng)[1]:
+    for i, j in sweep(indices, 2, rng)[1]:
         a, b = sample[i], sample[j]
         s = add(a, b) if rows is None else rows[i][j]
         if s is None:
@@ -320,7 +323,7 @@ def _pea_axioms(A, sample, seed, triple_cap, pair_cap, draws) -> Verdict:
             return Verdict.failure(("axiom-iii", i, j), checked)
 
     # (i) associativity with definedness, both directions
-    exhaustive, triples = sweep(indices, 3, triple_cap, draws, rng)
+    exhaustive, triples = sweep(indices, 3, rng)
     for i, j, k in triples:
         checked += 1
         a, b, c = sample[i], sample[j], sample[k]
@@ -333,7 +336,7 @@ def _pea_axioms(A, sample, seed, triple_cap, pair_cap, draws) -> Verdict:
         if left != right:  # None differs from every element
             return Verdict.failure(("axiom-i", i, j, k), checked)
 
-    mode = "exhaustive triples" if exhaustive else f"{draws} sampled triples"
+    mode = "exhaustive triples" if exhaustive else f"{verdict.DRAWS} sampled triples"
     return Verdict.passed(checked, detail=mode)
 
 
@@ -387,11 +390,11 @@ def quadruple_box(classes) -> Box:
     return Box((lambda t: t[0] + t[1], pairs, 2) for pairs in classes)
 
 
-def rdp_quadruples(X, sample, box=None):
-    """All position quadruples (i1, i2, j1, j2) of the sample with
-    sample[i1] + sample[i2] = sample[j1] + sample[j2] defined; box, when
-    given, is ``quadruple_box(sum_classes(X, sample))`` already built."""
-    yield from quadruple_box(sum_classes(X, sample)) if box is None else box
+def rdp_quadruples(box, rng):
+    """The quadruples check_kite_rdp checks, from its `quadruple_box`: one
+    `sweep` of the box, all of it up to verdict.CAP quadruples, else
+    verdict.DRAWS positions drawn by rng, each decoded when read."""
+    yield from (quad for (quad,) in sweep(box, 1, rng)[1])
 
 
 def find_kite_refinement(A: KiteAlgebra, a1, a2, b1, b2,
@@ -455,14 +458,13 @@ def corner_memo(X, sample):
     return refined
 
 
-def check_kite_rdp(A: KiteAlgebra, sample: list[KiteElement],
-                   quad_cap: int = 300_000, seed: int = 0) -> Verdict:
-    """Search an RDP2 refinement for every sampled quadruple with equal
+def check_kite_rdp(A: KiteAlgebra, sample: list[KiteElement], seed: int = 0) -> Verdict:
+    """Search an RDP2 refinement for every swept quadruple with equal
     defined sums.
 
     A missing refinement is INCONCLUSIVE (bounded search), not a refutation.
-    Above quad_cap, quad_cap positions of the quadruple box are drawn and
-    read one at a time, so no list of quadruples is held.
+    The quadruples are `rdp_quadruples`, read one at a time from Random(seed),
+    so no list of quadruples is held.
 
     The sweep runs on sample positions, its sum classes and corner memo on
     the kernel `choose_kernel` picks; witnesses are named from the sample.
@@ -491,12 +493,9 @@ def check_kite_rdp(A: KiteAlgebra, sample: list[KiteElement],
             return named(bad, sample)
     else:
         refined = searched
-    if len(box) <= quad_cap:
-        quads = rdp_quadruples(K, values, box)
-    else:  # the positions random.sample would pick from list(box), each built when read
-        quads = map(box.__getitem__, random.Random(seed).sample(range(len(box)), quad_cap))
-    checked, found, witnesses = min(len(box), quad_cap), 0, []
-    for quad in quads:
+    checked, found, witnesses = 0, 0, []
+    for quad in rdp_quadruples(box, random.Random(seed)):
+        checked += 1
         if refined(*quad):
             found += 1
         elif len(witnesses) < 5:

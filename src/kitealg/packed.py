@@ -28,11 +28,12 @@ elements by position in the caller's list, and the caller names them.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import random
 
 from kitealg.pogroup import DirectProduct, IntegerGroup, LexProduct, VectorGroup
-from kitealg.verdict import sweep
+from kitealg.verdict import choices
 
 # each kernel sweep re-runs this many of its tuples (all of them when there
 # are fewer) through the object path, drawn by a Random of their own
@@ -82,8 +83,11 @@ def twist(segment: int, src, width: int) -> int:
 
 
 def recheck_tuples(size: int, arity: int):
-    """The index tuples a kernel sweep re-runs through the object path."""
-    return sweep(range(size), arity, RECHECK, RECHECK, random.Random(RECHECK_SEED))[1]
+    """The index tuples a kernel sweep re-runs through the object path: all
+    up to RECHECK, else RECHECK tuples picked as `sweep` picks them."""
+    if size ** arity <= RECHECK:
+        return itertools.product(range(size), repeat=arity)
+    return zip(*[choices(random.Random(RECHECK_SEED), range(size), RECHECK * arity)] * arity)
 
 
 class Packing:
@@ -196,6 +200,8 @@ class Packing:
         self.complement_minus = lambda x: diff_left(one, x)
         self.complement_tilde = lambda x: diff_right(x, one)
         self.meet_is_zero = lambda x, y: meet(x, y) == zero
+        # kite membership: a Lower element's fields are positive, an Upper one's negative
+        self.member = lambda x: not ((x & SEG) + NEG) & HI if x & TAG else positive(x & SEG)
 
     def lower(self, plain: int) -> int:
         """The Lower element with this plain segment."""

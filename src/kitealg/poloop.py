@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from typing import Optional
 
-from kitealg import packed
+from kitealg import packed, verdict
 from kitealg.indexsys import (
     IndexSystem,
     normalize_partition,
@@ -295,8 +295,8 @@ def embed_kite_element(x: KiteElement) -> LoopElement:
 def embed_kite(A: KiteAlgebra, bound: int = 2, seed: int = 0) -> Verdict:
     """Verify that phi is an isomorphism of partial algebras between the kite
     box and the interval box: bijective, preserves 0, 1, order, and the
-    definedness and value of + on the box pairs: all up to 600,000, else
-    40,000 draws from Random(seed); a pair witness names two kite box elements.
+    definedness and value of + on the box pairs, one `sweep` from
+    Random(seed); a pair witness names two kite box elements.
 
     The pair sweep runs on the kernel that `choose_kernel` picks.  Packed,
     each element is its own image: the kite sum against the loop product, and
@@ -344,8 +344,7 @@ def _embed_pairs(K, interval_leq, interval_add, phi, xs, ps, checked, seed) -> V
     """The pair sweep of embed_kite: K's order and sum on the kite items xs
     against the interval's on their images ps, phi mapping a kite sum to its
     image; a witness names the pair's positions in xs."""
-    draws = 40_000
-    exhaustive, pairs = sweep(range(len(xs)), 2, 600_000, draws, random.Random(seed))
+    exhaustive, pairs = sweep(range(len(xs)), 2, random.Random(seed))
     kite_leq, kite_add = K.leq, K.add
     for i, j in pairs:
         checked += 1
@@ -358,7 +357,7 @@ def _embed_pairs(K, interval_leq, interval_add, phi, xs, ps, checked, seed) -> V
             return Verdict.failure(("definedness", i, j), checked)
         if s is not None and phi(s) != t:
             return Verdict.failure(("value", i, j), checked)
-    return Verdict.passed(checked, detail="" if exhaustive else f"{draws} sampled pairs")
+    return Verdict.passed(checked, detail="" if exhaustive else f"{verdict.DRAWS} sampled pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +388,9 @@ class BlockSubgroup:
 def block_subgroup(W: PoLoop, blocks, bound: int = 2,
                    seed: int = 0) -> tuple[BlockSubgroup, Verdict]:
     """Build the block-constant subgroup and verify: closure under the product
-    and inverses on the box, associativity on generic block-constant elements
-    (one letter per block), membership of the strong unit, and closure of the
-    interval part under partial addition."""
+    (on one `sweep` of box pairs) and inverses on the box, associativity on
+    generic block-constant elements (one letter per block), membership of the
+    strong unit, and closure of the interval part under partial addition."""
     blocks = normalize_partition(blocks, W.sys.n)
     dec = validate_decomposition(W.sys, blocks)
     if not dec.ok:
@@ -403,7 +402,7 @@ def block_subgroup(W: PoLoop, blocks, bound: int = 2,
     if not H.contains(W.unit):
         return H, Verdict.failure(("unit-not-member",))
 
-    for p, q in sweep(hbox, 2, 100_000, 100_000, random.Random(seed))[1]:
+    for p, q in sweep(hbox, 2, random.Random(seed))[1]:
         checked += 1
         if not H.contains(W.mul(p, q)):
             return H, Verdict.failure(("mul-closure", p, q), checked)

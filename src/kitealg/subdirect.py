@@ -118,8 +118,7 @@ class SubdirectReport:
         }
 
 
-def subdirect_embedding_check(A: KiteAlgebra, bound: int = 2, pair_cap: int = 200_000,
-                              seed: int = 0) -> SubdirectReport:
+def subdirect_embedding_check(A: KiteAlgebra, bound: int = 2, seed: int = 0) -> SubdirectReport:
     """Verify the subdirect representation on the box: the tuple-of-projections
     map is injective, each projection is surjective onto the target box and is
     a homomorphism of partial algebras, every box element is exactly
@@ -148,19 +147,19 @@ def subdirect_embedding_check(A: KiteAlgebra, bound: int = 2, pair_cap: int = 20
             f"component {k.label} projection misses box elements")
             if missing else Verdict.passed(len(want)))
 
-    hom = _check_projection_hom(A, kernels, targets, box, table, pair_cap, seed)
+    hom = _check_projection_hom(A, kernels, targets, box, table, seed)
     kernel_check = check_kernel_projects_to_zero(A, kernels, targets, box, table)
     return SubdirectReport(kernels, injectivity or Verdict.passed(len(box)),
                            tuple(surjectivity), recon or Verdict.passed(len(box)),
                            hom, kernel_check)
 
 
-def _check_projection_hom(A, kernels, targets, box, table, pair_cap, seed=0) -> Verdict:
+def _check_projection_hom(A, kernels, targets, box, table, seed=0) -> Verdict:
     """Each projection preserves 0, 1, order, definedness and value of +,
     and both complements; table[k][i] is box[i] projected onto kernels[k].
 
-    The sum checks share one stream of index pairs, drawn from Random(seed)
-    above pair_cap: each kite sum is computed and projected once and checked
+    The sum checks share one `sweep` of index pairs from Random(seed): each
+    kite sum is computed and projected once and checked
     on every component, and the first failing (pair, component) in stream
     order is the witness, its pair named from the box.  On the kernel `choose_kernel` picks, packed: A's sum
     masked to a component's fields against the component's sum on A's packing,
@@ -182,7 +181,7 @@ def _check_projection_hom(A, kernels, targets, box, table, pair_cap, seed=0) -> 
     if K is A:
         parts = [(k.label, target.add, row, partial(project_component, A, k))
                  for k, target, row in zip(kernels, targets, table)]
-        return named(_sum_stream(A.add, box, parts, pair_cap, checked, seed), box)
+        return named(_sum_stream(A.add, box, parts, checked, seed), box)
 
     def lift(k, piece):
         """A component's element packed by K at A's positions, the identity
@@ -207,14 +206,14 @@ def _check_projection_hom(A, kernels, targets, box, table, pair_cap, seed=0) -> 
                 wanted.append(lift(k, project_component(A, k, want)))
         return got == wanted
     return recheck(box, 2, agrees, checked) or named(
-        _sum_stream(K.add, values, parts, pair_cap, checked, seed), box)
+        _sum_stream(K.add, values, parts, checked, seed), box)
 
 
-def _sum_stream(add, items, parts, pair_cap, checked, seed) -> Verdict:
+def _sum_stream(add, items, parts, checked, seed) -> Verdict:
     """The seeded pair stream of _check_projection_hom over items, with add;
     parts holds, per component, its label, its sum, its items and the
     projection onto it.  A witness names the pair's positions in items."""
-    for i, j in sweep(range(len(items)), 2, pair_cap, pair_cap, random.Random(seed))[1]:
+    for i, j in sweep(range(len(items)), 2, random.Random(seed))[1]:
         s = add(items[i], items[j])
         if s is None:
             checked += len(parts)

@@ -13,6 +13,10 @@ PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
+# the one work budget of every bounded sweep, read by `sweep` at each call
+CAP = 600_000
+DRAWS = 40_000
+
 # the most 32-bit words `choices` draws at once, which bounds its buffers
 BATCH_WORDS = 4096
 
@@ -67,16 +71,17 @@ def merge(verdicts: list[Verdict], detail: str = "") -> Verdict:
     return Verdict(PASS, checked=checked, detail=detail)
 
 
-def sweep(space, arity, cap, draws, rng):
+def sweep(space, arity, rng):
     """The tuples a bounded checker evaluates: (exhaustive, tuples).
 
-    All len(space) ** arity tuples when there are at most cap of them;
-    otherwise draws tuples of arity consecutive rng.choice(space) picks, the
+    All len(space) ** arity tuples when there are at most CAP of them;
+    otherwise DRAWS tuples of arity consecutive rng.choice(space) picks, the
     same stream as drawing each tuple with a generator expression.
     """
-    if len(space) ** arity <= cap:
-        return True, itertools.product(space, repeat=arity)
-    picks = choices(rng, space, draws * arity)
+    if len(space) ** arity <= CAP:
+        # product copies space; 1-tuples walk it in place, so a Box stays unbuilt
+        return True, zip(space) if arity == 1 else itertools.product(space, repeat=arity)
+    picks = choices(rng, space, DRAWS * arity)
     return False, zip(*[picks] * arity)
 
 

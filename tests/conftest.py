@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from kitealg import verdict
 from kitealg.indexsys import IndexSystem, derived_sigma, perm_inverse, perm_order
 from kitealg.kite import KiteAlgebra
 from kitealg.verdict import Verdict, sweep
@@ -30,6 +31,13 @@ TEN_SYSTEMS = [
     ("ex8.5", *EX_8_5),
     ("ex3.8", *EX_3_8),
 ]
+
+
+def set_budget(monkeypatch, cap, draws=None):
+    """The one sweep budget, verdict.CAP and verdict.DRAWS, for one test;
+    draws defaults to cap."""
+    monkeypatch.setattr(verdict, "CAP", cap)
+    monkeypatch.setattr(verdict, "DRAWS", cap if draws is None else draws)
 
 
 def system(lam, rho) -> IndexSystem:
@@ -100,7 +108,7 @@ def check_po_group_axioms(G, bound: int, translation_samples: int = 200,
         if G.leq(g, h) and G.leq(h, g) and g != h:
             return Verdict.failure(("antisymmetry", g, h), checked)
 
-    for g, h, k in sweep(box, 3, 200_000, 200_000, rng)[1]:
+    for g, h, k in sweep(box, 3, rng)[1]:
         checked += 2
         if G.op(G.op(g, h), k) != G.op(g, G.op(h, k)):
             return Verdict.failure(("associativity", g, h, k), checked)

@@ -104,7 +104,7 @@ def test_criterion_6_subdirect_suite():
 def test_criterion_7_rdp2_suite():
     A = KiteAlgebra(Z, system(*TEN_SYSTEMS[6][1:]))  # the 4-index ex8.2 system
     box = A.enumerate_box(2)
-    v = check_kite_rdp(A, box, quad_cap=300_000, seed=0)
+    v = check_kite_rdp(A, box, seed=0)
     # over Z the meet is the only candidate and never reads the box, so a
     # missing refinement cannot come from truncation: PASS is required
     report(7, "RDP2 refinement", v.ok, v.detail)

@@ -22,12 +22,12 @@ from kitealg import packed
 from kitealg.cli import bounded_sample
 from kitealg.indexsys import IndexSystem, components, perm_inverse
 from kitealg.kite import (LOWER, UPPER, KiteAlgebra, KiteElement, check_kite_rdp,
-                          check_pea_axioms)
+                          check_pea_axioms, choose_kernel)
 from kitealg.pogroup import IntegerGroup, LexProduct, PoGroup, parse_group
 from kitealg.poloop import GammaInterval, LoopElement, PoLoop, embed_kite
 from kitealg.subdirect import subdirect_embedding_check
 
-from conftest import EX_3_8, EX_8_2, EX_8_5, ObjectPath, system
+from conftest import EX_3_8, EX_8_2, EX_8_5, ObjectPath, set_budget, system
 
 GROUPS = ["Z", "Z^2", "Z^3", "lex(Z,Z)", "prod(Z,Z)"]
 RADIUS = 2  # coordinates drawn from the box of this radius; sums reach twice it
@@ -246,19 +246,22 @@ def test_packed_operations_match_objects(group, bound):
         <= outcomes or bound == 0
 
 
-@pytest.mark.parametrize("regime", [{}, {"triple_cap": 1_000, "pair_cap": 100, "draws": 500}],
-                         ids=["table", "drawn"])
+# the budget (CAP, DRAWS): the default, whose table holds the 40-element
+# sample, and one that draws pairs and triples with no table
+@pytest.mark.parametrize("regime", [(), (100, 500)], ids=["table", "drawn"])
 @pytest.mark.parametrize("group, lam_rho, bound", [
     ("Z", EX_8_2, 1), ("Z", EX_8_5, 2), ("Z^2", EX_3_8, 1), ("Z^3", ([2, 3, 1], [1, 3, 2]), 1),
     ("lex(Z,Z)", CYCLES_3, 1), ("lex(Z,Z)", EX_8_2, 2),
     ("prod(Z,Z)", EX_8_2, 1), ("lex(Z,Z^2)", EX_3_8, 1), ("lex(lex(Z,Z),Z)", CYCLES_3, 1),
 ])
-def test_axioms_verdict_matches_object_path(group, lam_rho, bound, regime):
+def test_axioms_verdict_matches_object_path(group, lam_rho, bound, regime, monkeypatch):
+    if regime:
+        set_budget(monkeypatch, *regime)
     G = parse_group(group)
     A, R = KiteAlgebra(G, system(*lam_rho)), ObjectPath(G, system(*lam_rho))
     sample = bounded_sample(A.enumerate_box(bound), 40, 3, keep=(A.zero, A.one))
-    v = check_pea_axioms(A, sample, seed=3, **regime)
-    assert v.ok and v == check_pea_axioms(R, sample, seed=3, **regime)
+    v = check_pea_axioms(A, sample, seed=3)
+    assert v.ok and v == check_pea_axioms(R, sample, seed=3)
 
 
 @pytest.mark.parametrize("group, lam_rho, bound", [
@@ -276,7 +279,8 @@ def test_embed_verdict_matches_object_path(group, lam_rho, bound):
     assert v.ok and v == embed_kite(ObjectPath(G, system(*lam_rho)), bound)
 
 
-@pytest.mark.parametrize("group, lam_rho, bound, pair_cap", [
+# cap is the budget's CAP and DRAWS both
+@pytest.mark.parametrize("group, lam_rho, bound, cap", [
     ("Z", EX_8_2, 1, 200_000), ("Z", EX_3_8, 2, 200_000),
     ("Z^2", EX_3_8, 1, 3_000), ("Z^3", ([1, 2], [2, 1]), 1, 1_000),
     ("lex(Z,Z)", EX_3_8, 1, 3_000), ("lex(Z,Z)", CYCLES_3, 2, 20_000),
@@ -288,10 +292,11 @@ def test_embed_verdict_matches_object_path(group, lam_rho, bound):
     # ... and {1}, {2, 3}
     ("prod(Z,Z)", ([1, 2, 3], [1, 3, 2]), 1, 3_000),
 ])
-def test_subdirect_report_matches_object_path(group, lam_rho, bound, pair_cap):
+def test_subdirect_report_matches_object_path(group, lam_rho, bound, cap, monkeypatch):
+    set_budget(monkeypatch, cap)
     G = parse_group(group)
-    got = subdirect_embedding_check(KiteAlgebra(G, system(*lam_rho)), bound, pair_cap)
-    want = subdirect_embedding_check(ObjectPath(G, system(*lam_rho)), bound, pair_cap)
+    got = subdirect_embedding_check(KiteAlgebra(G, system(*lam_rho)), bound)
+    want = subdirect_embedding_check(ObjectPath(G, system(*lam_rho)), bound)
     assert got.verdict.ok and got == want
 
 
@@ -393,12 +398,17 @@ def test_one_packing_per_packed_check(monkeypatch):
 
     monkeypatch.setattr(packed, "Packing", Counting)
 
+    def subdirect(A):
+        with monkeypatch.context() as budget:  # a stream of at most 3,000 pairs
+            set_budget(budget, 3_000)
+            return subdirect_embedding_check(A, 1).verdict
+
     def packings(A):
         box = list(A.enumerate_box(1))
         counts = []
         for check in (lambda: check_pea_axioms(A, bounded_sample(box, 24, 0)),
                       lambda: embed_kite(A, 1),
-                      lambda: subdirect_embedding_check(A, 1, 3_000).verdict,
+                      lambda: subdirect(A),
                       lambda: check_kite_rdp(A, bounded_sample(box, 24, 0))):
             built.clear()
             v = check()
@@ -413,6 +423,26 @@ def test_one_packing_per_packed_check(monkeypatch):
     assert packings(KiteAlgebra(parse_group("lex(Z^2,Z)"), system([1, 2], [2, 1]))) == [0] * 4
     for group, lam_rho in [("Z", EX_8_2), ("Z^2", SWAP_2)]:
         assert packings(ObjectPath(parse_group(group), system(*lam_rho))) == [0] * 4
+
+
+@pytest.mark.parametrize("group", ["Z", "Z^2", "lex(Z,Z)"])
+def test_a_sample_with_a_non_member_takes_the_object_path(group):
+    # choose_kernel tests each item's length, then its cone on the packed int:
+    # a Lower element with a negative coordinate, an Upper one with a positive
+    # coordinate and a short tuple each keep the whole sample on objects, so
+    # the checks return the object path's verdicts
+    G = parse_group(group)
+    A, R = KiteAlgebra(G, system(*EX_8_2)), ObjectPath(G, system(*EX_8_2))
+    box = bounded_sample(A.enumerate_box(1), 24, 0, keep=(A.zero, A.one))
+    assert isinstance(choose_kernel(A, box)[0], packed.Packing)
+    e = G.identity
+    g = next(g for g in G.enumerate_box(1) if G.lt(e, g))
+    assert choose_kernel(A, box + [A.lower(g, g)]) == (A, box + [A.lower(g, g)])
+    for bad in (A.lower(g, G.inv(g), e, e), A.upper(e, g, e, e)):
+        sample = box + [bad]
+        assert choose_kernel(A, sample) == (A, sample)
+        assert check_pea_axioms(A, sample) == check_pea_axioms(R, sample)
+        assert check_kite_rdp(A, sample) == check_kite_rdp(R, sample)
 
 
 LAYOUT = packed.layout

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from kitealg.indexsys import (
     IndexSystem,
     check_component_laws,
+    MIXED_POWERS,
     check_mixed_commutation,
     components,
     derived_sigma,
@@ -165,8 +166,10 @@ class TestDecomposition:
         assert kinds & {"lambda-image", "rho-image", "commute"}
 
     def test_mixed_commutation(self, ex84):
-        assert check_mixed_commutation(ex84, [{0, 3}, {1, 2}], 3).ok
+        # every power pair with |m|, |n| <= MIXED_POWERS (3), on both blocks
+        v = check_mixed_commutation(ex84, [{0, 3}, {1, 2}])
+        assert MIXED_POWERS == 3 and v.ok and v.checked == 7 * 7 * 2
 
     def test_mixed_commutation_rejects_invalid(self, ex85):
         with pytest.raises(ValueError):
-            check_mixed_commutation(ex85, [{0, 3}, {1, 2}], 2)
+            check_mixed_commutation(ex85, [{0, 3}, {1, 2}])

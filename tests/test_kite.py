@@ -27,7 +27,7 @@ from kitealg.kite import (
 )
 from kitealg.pogroup import IntegerGroup, UnsupportedCarrier, VectorGroup, parse_group
 
-from conftest import EX_3_8, EX_8_2, TEN_SYSTEMS, system
+from conftest import EX_3_8, EX_8_2, TEN_SYSTEMS, set_budget, system
 
 Z = IntegerGroup()
 
@@ -190,9 +190,10 @@ class TestAxiomChecker:
         A = KiteAlgebra(VectorGroup(2), system([1, 2], [2, 1]))
         assert check_pea_axioms(A, A.enumerate_box(1)).ok
 
-    def test_sampled_tier_reports_mode(self):
+    def test_sampled_tier_reports_mode(self, monkeypatch):
+        set_budget(monkeypatch, 1000, 500)
         A = KiteAlgebra(Z, system([1, 3, 2, 4], [2, 3, 1, 4]))
-        v = check_pea_axioms(A, A.enumerate_box(2), triple_cap=1000, draws=500)
+        v = check_pea_axioms(A, A.enumerate_box(2))
         assert v.ok and "sampled" in v.detail
 
     def test_detects_broken_addition(self, ex82):
@@ -244,17 +245,22 @@ class TestCommutativity:
         assert check_commutativity(A, A.enumerate_box(1)).ok
 
 
+def _rdp_stream(A, sample):
+    """The position quadruples check_kite_rdp reads for this sample, seed 0."""
+    return rdp_quadruples(quadruple_box(sum_classes(A, sample)), random.Random(0))
+
+
 class TestRdp:
     def test_quadruples_share_sum(self, K82):
         # the quadruples are positions in the sample
         sample = K82.enumerate_box(1)
-        for quad in itertools.islice(rdp_quadruples(K82, sample), 500):
+        for quad in itertools.islice(_rdp_stream(K82, sample), 500):
             a1, a2, b1, b2 = map(sample.__getitem__, quad)
             assert K82.add(a1, a2) == K82.add(b1, b2) is not None
 
     def test_refinement_is_valid(self, K82):
         sample = K82.enumerate_box(1)
-        for quad in itertools.islice(rdp_quadruples(K82, sample), 300):
+        for quad in itertools.islice(_rdp_stream(K82, sample), 300):
             quad = tuple(map(sample.__getitem__, quad))
             ref = find_kite_refinement(K82, *quad, sample)
             assert ref is not None

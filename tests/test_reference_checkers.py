@@ -5,10 +5,12 @@ axiom checker did before it shared one table of pair sums; the fast checker
 must return the same `Verdict` (status, checked, witnesses, detail) in the
 exhaustive and in the sampled regime, on sound kites and on kites with a
 fault planted in each axiom.  `reference_check_kite_rdp` runs one
-`find_kite_refinement` per quadruple; the RDP checker, which computes each
-sample pair's corner once on a lattice, must return the same `Verdict` on
-sound kites and under a planted side-condition fault.  The RDP and subdirect
-tests pin the order in which their streams are evaluated.
+`find_kite_refinement` per quadruple of a list, drawn by rng.choice over
+verdict.CAP; the RDP checker, which computes each sample pair's corner once
+on a lattice, must return the same `Verdict` on sound kites and under a
+planted side-condition fault.  The RDP and subdirect tests pin the order in
+which their streams are evaluated.  Both regimes come from the one budget,
+verdict.CAP and verdict.DRAWS, set per test.
 """
 
 import itertools
@@ -16,19 +18,18 @@ import random
 
 import pytest
 
-from kitealg import kite, packed, subdirect
+from kitealg import kite, packed, subdirect, verdict
 from kitealg.cli import bounded_sample
 from kitealg.kite import KiteAlgebra, KiteElement, LOWER, UPPER, check_pea_axioms
 from kitealg.pogroup import IntegerGroup, VectorGroup, parse_group
 from kitealg.verdict import Verdict, sweep
 
-from conftest import EX_3_8, EX_8_2, EX_8_5, ObjectPath, system
+from conftest import EX_3_8, EX_8_2, EX_8_5, ObjectPath, set_budget, system
 
 Z = IntegerGroup()
 
 
-def reference_check_pea_axioms(A, sample, seed=0, triple_cap=600_000,
-                               pair_cap=600_000, draws=40_000):
+def reference_check_pea_axioms(A, sample, seed=0):
     rng = random.Random(seed)
     add, one, zero = A.add, A.one, A.zero
     checked = 0
@@ -46,7 +47,7 @@ def reference_check_pea_axioms(A, sample, seed=0, triple_cap=600_000,
         checked += 1
         if (add(one, a) is not None or add(a, one) is not None) and a != zero:
             return Verdict.failure(("axiom-iv", a), checked)
-    for a, b in sweep(sample, 2, pair_cap, draws, rng)[1]:
+    for a, b in sweep(sample, 2, rng)[1]:
         s = add(a, b)
         if s is None:
             continue
@@ -54,7 +55,7 @@ def reference_check_pea_axioms(A, sample, seed=0, triple_cap=600_000,
         d, e = A.diff_left(s, a), A.diff_right(b, s)
         if d is None or e is None or add(d, a) != s or add(b, e) != s:
             return Verdict.failure(("axiom-iii", a, b), checked)
-    exhaustive, triples = sweep(sample, 3, triple_cap, draws, rng)
+    exhaustive, triples = sweep(sample, 3, rng)
     for a, b, c in triples:
         checked += 1
         ab = add(a, b)
@@ -63,22 +64,23 @@ def reference_check_pea_axioms(A, sample, seed=0, triple_cap=600_000,
         right = add(a, bc) if bc is not None else None
         if (left is None) != (right is None) or left != right:
             return Verdict.failure(("axiom-i", a, b, c), checked)
-    mode = "exhaustive triples" if exhaustive else f"{draws} sampled triples"
+    mode = "exhaustive triples" if exhaustive else f"{verdict.DRAWS} sampled triples"
     return Verdict.passed(checked, detail=mode)
 
 
-# (triple_cap, pair_cap, draws): the table regime, and sampled triples with
+# (CAP, DRAWS): the default, the table regime, and sampled triples with
 # sampled pairs (no table)
 REGIMES = {
-    "exhaustive": {},
-    "sampled": {"triple_cap": 1_000, "pair_cap": 100, "draws": 500},
+    "exhaustive": (),
+    "sampled": (100, 500),
 }
 
 
-def _both(A, sample, seed, regime):
-    kwargs = REGIMES[regime]
-    got = check_pea_axioms(A, sample, seed=seed, **kwargs)
-    want = reference_check_pea_axioms(A, sample, seed=seed, **kwargs)
+def _both(A, sample, seed, regime, monkeypatch):
+    if REGIMES[regime]:
+        set_budget(monkeypatch, *REGIMES[regime])
+    got = check_pea_axioms(A, sample, seed=seed)
+    want = reference_check_pea_axioms(A, sample, seed=seed)
     assert got == want
     return got
 
@@ -90,10 +92,10 @@ def _both(A, sample, seed, regime):
     ("Z^2", EX_3_8, 1, 24, 7),
     ("lex(Z,Z)", ([2, 3, 1], [3, 1, 2]), 1, 30, 11),
 ])
-def test_sound_kites_agree(group, lam_rho, bound, size, seed, regime):
+def test_sound_kites_agree(group, lam_rho, bound, size, seed, regime, monkeypatch):
     A = KiteAlgebra(parse_group(group), system(*lam_rho))
     sample = bounded_sample(A.enumerate_box(bound), size, seed, keep=(A.zero, A.one))
-    v = _both(A, sample, seed, regime)
+    v = _both(A, sample, seed, regime, monkeypatch)
     assert v.ok
     assert v.detail.startswith("exhaustive" if regime == "exhaustive" else "500 sampled")
 
@@ -142,9 +144,9 @@ class LeavesBox(KiteAlgebra):
     (NoLeftDifference, "axiom-iii"),
     (LeavesBox, "axiom-i"),
 ])
-def test_planted_faults_agree(cls, tag, regime):
+def test_planted_faults_agree(cls, tag, regime, monkeypatch):
     A = cls(Z, system(*EX_8_2))
-    v = _both(A, A.enumerate_box(1), 5, regime)
+    v = _both(A, A.enumerate_box(1), 5, regime, monkeypatch)
     assert v.failed
     assert v.witnesses[0][0] == tag
 
@@ -160,20 +162,20 @@ class WrongDifference(KiteAlgebra):
         return super().diff_right(a, b)
 
 
-def test_wrong_difference_is_an_axiom_iii_fault():
+def test_wrong_difference_is_an_axiom_iii_fault(monkeypatch):
     A = WrongDifference(Z, system(*EX_8_2))
-    v = _both(A, A.enumerate_box(1), 0, "exhaustive")
+    v = _both(A, A.enumerate_box(1), 0, "exhaustive", monkeypatch)
     assert v.failed
     assert v.witnesses[0] == ("axiom-iii", A.lower(0, 1, 0, 0), A.lower(1, 0, 0, 0))
 
 
-def test_closed_form_fault_agrees():
+def test_closed_form_fault_agrees(monkeypatch):
     class WrongTilde(KiteAlgebra):
         def complement_tilde(self, x):
             return self.zero if x.tag == UPPER else super().complement_tilde(x)
 
     A = WrongTilde(Z, system(*EX_8_2))
-    v = _both(A, A.enumerate_box(1), 0, "exhaustive")
+    v = _both(A, A.enumerate_box(1), 0, "exhaustive", monkeypatch)
     assert v.witnesses[0][0] == "axiom-ii-closed-form"
 
 
@@ -181,13 +183,19 @@ def test_closed_form_fault_agrees():
 # RDP: the corner memo against a loop of find_kite_refinement
 # ---------------------------------------------------------------------------
 
-def reference_check_kite_rdp(A, sample, quad_cap=300_000, seed=0):
-    """check_kite_rdp as one find_kite_refinement per quadruple of the list
-    random.sample draws from, or of every quadruple under the cap; the
-    quadruples are named from their sample positions up front."""
-    quads = [tuple(map(sample.__getitem__, q)) for q in kite.rdp_quadruples(A, sample)]
-    if len(quads) > quad_cap:
-        quads = random.Random(seed).sample(quads, quad_cap)
+def _quadruples(A, sample):
+    """All position quadruples of the sample with equal defined sums."""
+    return kite.quadruple_box(kite.sum_classes(A, sample))
+
+
+def reference_check_kite_rdp(A, sample, seed=0):
+    """check_kite_rdp as one find_kite_refinement per quadruple of a list:
+    every quadruple up to verdict.CAP, else verdict.DRAWS rng.choice picks
+    from it; the quadruples are named from their sample positions up front."""
+    quads = [tuple(map(sample.__getitem__, q)) for q in _quadruples(A, sample)]
+    if len(quads) > verdict.CAP:
+        rng = random.Random(seed)
+        quads = [rng.choice(quads) for _ in range(verdict.DRAWS)]
     found, witnesses = 0, []
     for quad in quads:
         if kite.find_kite_refinement(A, *quad, sample) is not None:
@@ -215,22 +223,23 @@ class RefusesCorners(KiteAlgebra):
         return x not in self.refused and super().meet_is_zero(x, y)
 
 
-def _rdp_agrees(A, sample, cap=300_000, seed=0):
-    v = kite.check_kite_rdp(A, sample, quad_cap=cap, seed=seed)
-    assert v == reference_check_kite_rdp(A, sample, cap, seed)
+def _rdp_agrees(A, sample, seed=0):
+    v = kite.check_kite_rdp(A, sample, seed=seed)
+    assert v == reference_check_kite_rdp(A, sample, seed)
     return v
 
 
-# random.sample picks from a copied pool when the cap is a large share of the
-# population and from a set of taken positions otherwise; both occur here.
-# The witnesses are the first five unrefined quadruples and `found` counts the
-# refined ones, so the whole Verdict pins which quadruples ran, in what order
+# over CAP the quadruples are drawn with replacement, DRAWS of them, each as
+# rng.choice picks it from the list.  The witnesses are the first five
+# unrefined quadruples and `found` counts the refined ones, so the whole
+# Verdict pins which quadruples ran, in what order
 @pytest.mark.parametrize("group, cap, seed", [("Z", 300, 4), ("Z", 5, 4), ("Z^2", 50, 9)])
-def test_over_cap_rdp_stream_matches_list_sample(group, cap, seed):
+def test_over_cap_rdp_stream_matches_list_sample(group, cap, seed, monkeypatch):
+    set_budget(monkeypatch, cap)
     A = RefusesCorners(parse_group(group), system(*EX_8_5))
     sample = bounded_sample(A.enumerate_box(1), 18, seed, keep=(A.zero, A.one))
-    assert len(list(kite.rdp_quadruples(A, sample))) > cap
-    v = _rdp_agrees(A, sample, cap, seed)
+    assert len(_quadruples(A, sample)) > cap
+    v = _rdp_agrees(A, sample, seed)
     assert v.status == "INCONCLUSIVE" and v.checked == cap and v.witnesses
 
 
@@ -239,18 +248,19 @@ def test_under_cap_rdp_streams_every_quadruple():
     sample = A.enumerate_box(1)
     v = _rdp_agrees(A, sample)
     assert v.status == "INCONCLUSIVE" and len(v.witnesses) == 5
-    assert v.checked == len(list(kite.rdp_quadruples(A, sample)))
+    assert v.checked == len(_quadruples(A, sample))
 
 
 @pytest.mark.parametrize("cls", [KiteAlgebra, RefusesCorners])
 @pytest.mark.parametrize("regime", ["exhaustive", "over-cap"])
 @pytest.mark.parametrize("group", ["Z", "Z^2", "lex(Z,Z)", "prod(Z,Z)", "lex(Z,Z^2)"])
-def test_rdp_verdict_matches_reference(group, regime, cls):
+def test_rdp_verdict_matches_reference(group, regime, cls, monkeypatch):
     A = cls(parse_group(group), system([2, 3, 1], [3, 1, 2]))
     assert A.G.has_meet
     sample = bounded_sample(A.enumerate_box(1), 16, 3, keep=(A.zero, A.one))
-    total = len(list(kite.rdp_quadruples(A, sample)))
-    v = _rdp_agrees(A, sample, total if regime == "exhaustive" else total // 3, seed=5)
+    total = len(_quadruples(A, sample))
+    set_budget(monkeypatch, total if regime == "exhaustive" else total // 3)
+    v = _rdp_agrees(A, sample, seed=5)
     assert v.ok == (cls is KiteAlgebra)
 
 
@@ -277,7 +287,7 @@ def test_find_kite_refinement_runs_where_the_memo_cannot(monkeypatch, group, sea
     # on a lattice only the re-check searches; off one every quadruple does
     A = KiteAlgebra(parse_group(group), system([2, 3, 1], [3, 1, 2]))
     sample = bounded_sample(A.enumerate_box(1), 20, 3, keep=(A.zero, A.one))
-    quads = len(list(kite.rdp_quadruples(A, sample)))
+    quads = len(_quadruples(A, sample))
     calls, search = [], kite.find_kite_refinement
     monkeypatch.setattr(kite, "find_kite_refinement",
                         lambda *args: calls.append(args) or search(*args))
@@ -311,7 +321,7 @@ def test_subdirect_first_witness_is_first_failing_pair_and_component(monkeypatch
     monkeypatch.setattr(subdirect, "project_component", broken)
     targets = [subdirect.component_algebra(A, k) for k in kernels]
     table = [[broken(A, k, x) for x in box] for k in kernels]
-    v = subdirect._check_projection_hom(A, kernels, targets, box, table, pair_cap=200_000)
+    v = subdirect._check_projection_hom(A, kernels, targets, box, table)
 
     checked = len(kernels) * len(box)
     for x, y in itertools.product(box, repeat=2):
@@ -328,12 +338,13 @@ def test_subdirect_first_witness_is_first_failing_pair_and_component(monkeypatch
     pytest.fail("the broken projection was never caught")
 
 
-def test_subdirect_pair_stream_over_cap_passes():
+def test_subdirect_pair_stream_over_cap_passes(monkeypatch):
+    set_budget(monkeypatch, 1_000)
     A = ObjectPath(VectorGroup(2), system(*EX_3_8))
     box = A.enumerate_box(1)
     kernels = tuple(subdirect.component_kernel(A.sys, c)
                     for c in subdirect.components(A.sys))
     targets = [subdirect.component_algebra(A, k) for k in kernels]
     table = [[subdirect.project_component(A, k, x) for x in box] for k in kernels]
-    v = subdirect._check_projection_hom(A, kernels, targets, box, table, pair_cap=1_000)
+    v = subdirect._check_projection_hom(A, kernels, targets, box, table)
     assert v.ok and v.checked == len(kernels) * (len(box) + 1_000)
