@@ -125,9 +125,7 @@ def parse_blocks(text: str, n: int):
         except ValueError:
             raise SpecError(f"bad block {s[i:j + 1]!r}")
         blocks.append(block)
-        i = j + 1
-        if i < len(s) and s[i] == ",":
-            i += 1
+        i = re.compile(r"\s*,?\s*").match(s, j + 1).end()
     try:
         return ixs.normalize_partition(blocks, n)
     except ValueError as exc:
@@ -143,8 +141,10 @@ def parse_spec(text: str) -> KiteSpec:
         for chunk in _split_assignments(line):
             if "=" not in chunk:
                 raise SpecError(f"expected key=value, got {chunk!r}", lineno)
-            key, value = chunk.split("=", 1)
-            fields[key.strip()] = (value.strip(), lineno)
+            key, value = (part.strip() for part in chunk.split("=", 1))
+            if key in fields:
+                raise SpecError(f"repeated field: {key}", lineno)
+            fields[key] = (value, lineno)
 
     def take(key, default=None):
         return fields.pop(key, (default, None))

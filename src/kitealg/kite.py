@@ -172,17 +172,8 @@ class KiteAlgebra:
         return KiteElement(x.tag, tuple(map(self.G.meet, x.coords, y.coords)))
 
     def meet_is_zero(self, x: KiteElement, y: KiteElement) -> bool:
-        """Decide x ^ y = 0 from the kite's structure; False when undecided.
-
-        A Lower element is its own meet with an Upper one, and two Upper ones
-        never meet at 0: every Lower element lies below both.  Two Lower ones
-        meet coordinatewise; off a lattice a coordinate meets at e when one of
-        its two values is e, and is undecided otherwise.
-        """
-        if x.tag != y.tag or self.G.has_meet:
-            return self.meet(x, y) == self.zero
-        e = self.G.identity
-        return x.tag == LOWER and all(e in pair for pair in zip(x.coords, y.coords))
+        """x ^ y = 0, the RDP2 side condition, on a built-in lattice."""
+        return self.meet(x, y) == self.zero
 
 
 # ---------------------------------------------------------------------------
@@ -397,26 +388,17 @@ def rdp_quadruples(box, rng):
     yield from (quad for (quad,) in sweep(box, 1, rng)[1])
 
 
-def find_kite_refinement(A: KiteAlgebra, a1, a2, b1, b2,
-                         sample: list[KiteElement]):
-    """Search an RDP2 refinement matrix of the quadruple; None when the
-    bounded search is exhausted.
+def find_kite_refinement(A: KiteAlgebra, a1, a2, b1, b2):
+    """The RDP2 refinement matrix of the quadruple on a lattice, or None.
 
-    When G is a lattice, c11 = a1 ^ b1 is the only candidate.  Taking x to
-    the d with c + d = x is an order isomorphism of [c, 1] onto
-    [0, tilde(c)], so c12 ^ c21 is the d with c11 + d = a1 ^ b1, which is 0
-    only when c11 = a1 ^ b1.  Otherwise every common lower bound of a1 and
-    b1 in the sample is tried, and c12 ^ c21 = 0 must follow from the kite's
-    structure (meet_is_zero), not from the sample.
+    c11 = a1 ^ b1 is the only candidate.  Taking x to the d with c + d = x
+    is an order isomorphism of [c, 1] onto [0, tilde(c)], so c12 ^ c21 is
+    the d with c11 + d = a1 ^ b1, which is 0 only when c11 = a1 ^ b1.
     """
-    if A.G.has_meet:
-        candidates = [A.meet(a1, b1)]
-    else:
-        candidates = (c for c in sample if A.leq(c, a1) and A.leq(c, b1))
-    for c11 in candidates:
-        rest = _refine(A, a1, a2, b1, b2, c11)
-        if rest is not None and A.meet_is_zero(rest[0], rest[1]):
-            return (c11, rest[0]), rest[1:]
+    c11 = A.meet(a1, b1)
+    rest = _refine(A, a1, a2, b1, b2, c11)
+    if rest is not None and A.meet_is_zero(rest[0], rest[1]):
+        return (c11, rest[0]), rest[1:]
     return None
 
 
@@ -459,23 +441,20 @@ def corner_memo(X, sample):
 
 
 def check_kite_rdp(A: KiteAlgebra, sample: list[KiteElement], seed: int = 0) -> Verdict:
-    """Search an RDP2 refinement for every swept quadruple with equal
-    defined sums.
+    """Refine every swept quadruple with equal defined sums from c11 = a1 ^ b1;
+    a missing refinement is INCONCLUSIVE, not a refutation.  With no meet in
+    G nothing is searched: INCONCLUSIVE, with nothing checked.
 
-    A missing refinement is INCONCLUSIVE (bounded search), not a refutation.
-    The quadruples are `rdp_quadruples`, read one at a time from Random(seed),
-    so no list of quadruples is held.
-
-    The sweep runs on sample positions, its sum classes and corner memo on
-    the kernel `choose_kernel` picks; witnesses are named from the sample.
+    The quadruples are `rdp_quadruples` of sample positions, read one at a
+    time from Random(seed); witnesses are named from the sample.  The sum
+    classes and `corner_memo` run on the kernel `choose_kernel` picks.
     Packed, up to 256 sample pairs first compare the kernel's sum with the
-    kite's (`recheck`): the sum classes decide `checked`.  On a lattice the
-    meet is the only candidate, so the quadruples read `corner_memo`, which
-    computes each sample pair's corner once; up to 256 box positions re-run
-    `find_kite_refinement` on the sample's elements first, and a disagreement
-    is a kernel-disagreement FAIL naming the quadruple.  Off a lattice each
-    quadruple goes through `find_kite_refinement`.
+    kite's (`recheck`), since the sum classes decide `checked`.  Up to 256
+    box positions then re-run `find_kite_refinement`; a disagreement is a
+    kernel-disagreement FAIL naming the quadruple.
     """
+    if not A.G.has_meet:
+        return Verdict("INCONCLUSIVE", detail=f"{A.G.name} has no meet: no quadruple searched")
     K, values = choose_kernel(A, sample)
     bad = K is not A and recheck(sample, 2, lambda i, j: K.add(values[i], values[j])
                                  == packed_element(K, A.add(sample[i], sample[j])))
@@ -484,15 +463,12 @@ def check_kite_rdp(A: KiteAlgebra, sample: list[KiteElement], seed: int = 0) -> 
     box = quadruple_box(sum_classes(K, values))
 
     def searched(*quad) -> bool:
-        return find_kite_refinement(A, *map(sample.__getitem__, quad), sample) is not None
-    if A.G.has_meet:
-        refined = corner_memo(K, values)
-        bad = recheck(box, 1, lambda i: refined(*box[i]) == searched(*box[i]),
-                      detail="corner memo and find_kite_refinement disagree")
-        if bad is not None:
-            return named(bad, sample)
-    else:
-        refined = searched
+        return find_kite_refinement(A, *map(sample.__getitem__, quad)) is not None
+    refined = corner_memo(K, values)
+    bad = recheck(box, 1, lambda i: refined(*box[i]) == searched(*box[i]),
+                  detail="corner memo and find_kite_refinement disagree")
+    if bad is not None:
+        return named(bad, sample)
     checked, found, witnesses = 0, 0, []
     for quad in rdp_quadruples(box, random.Random(seed)):
         checked += 1

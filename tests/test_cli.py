@@ -82,8 +82,9 @@ class TestParsePermutation:
 
 class TestParseBlocks:
     def test_two_blocks(self):
-        assert parse_blocks("{1,4},{2,3}", 4) == \
-            (frozenset({0, 3}), frozenset({1, 2}))
+        # whitespace may sit between the blocks, as between cycles
+        for text in ["{1,4},{2,3}", "{1,4}, {2,3}", "{1,4} , {2,3} "]:
+            assert parse_blocks(text, 4) == (frozenset({0, 3}), frozenset({1, 2})), text
 
     def test_rejects_nonpartition(self):
         with pytest.raises(SpecError):
@@ -121,6 +122,8 @@ class TestParseSpec:
         ("n=1\nlambda=[1]\ngroup=Q\nrho=[1]", r"bad group descriptor: .* \(line 3\)"),
         ("n=2\nlambda=[1,2]\nrho=[2,1]\nfoo=1", r"unknown fields: \['foo'\] \(line 4\)"),
         ("n=2 bar=1\nlambda=[1,2]\nrho=[2,1]\nfoo=1", r"\['bar', 'foo'\] \(line 1\)"),
+        ("n=1\nlambda=[1]\nlambda=[1]\nrho=[1]", r"repeated field: lambda \(line 3\)"),
+        ("n=1\nlambda=[1]\nrho=[1]\nbound=1 bound=3", r"repeated field: bound \(line 4\)"),
     ])
     def test_errors(self, text, fragment):
         with pytest.raises(SpecError, match=fragment):
@@ -416,6 +419,19 @@ class TestMain:
         assert entry["status"] == PASS and entry["associative"] is False
         assert "criterion-disagreement" not in json.dumps(entry)
         assert "no concrete witness" in entry["associativity_detail"]
+
+    @pytest.mark.parametrize("bound, samples", [(1, 60), (1, 4), (0, 60)])
+    def test_rdp_off_a_lattice_searches_nothing(self, tmp_path, capsys, bound, samples):
+        # lex(Z^2,Z) has no meet and its kite is no lattice: rdp refines only
+        # from the meet, so no sample, however small, reads PASS there
+        spec_path = tmp_path / "lex.kite"
+        spec_path.write_text("group = lex(Z^2,Z)\nn = 3\nlambda = [2,3,1]\nrho = [3,1,2]\n"
+                             f"bound = {bound}\nsamples = {samples}\n")
+        out = tmp_path / "report.json"
+        assert main(["rdp", "--spec", str(spec_path), "--json", str(out)]) == EXIT_INCONCLUSIVE
+        entry = json.loads(out.read_text())["suites"]["rdp"]
+        assert (entry["status"], entry["checked"], entry["witnesses"], entry["detail"]) == (
+            "INCONCLUSIVE", 0, [], "lex(Z^2,Z) has no meet: no quadruple searched")
 
     def test_paper_examples_entry(self, capsys):
         assert main(["paper-examples"]) == EXIT_PASS

@@ -341,8 +341,8 @@ def test_wrong_twist_fails_every_checker(monkeypatch):
     for group, lam_rho in LAYOUT_KINDS:
         _assert_every_checker_disagrees(KiteAlgebra(parse_group(group), system(*lam_rho)))
     # lex(Z^2,Z) has no meet and no layout: it runs on objects, which the
-    # broken twist cannot reach, so a wider supports() would fail here; its
-    # rdp search, off a lattice, leaves quadruples without a witness
+    # broken twist cannot reach, so a wider supports() would fail here; rdp,
+    # with no meet to refine from, is INCONCLUSIVE unsearched
     *v, rdp = _verdicts(KiteAlgebra(parse_group("lex(Z^2,Z)"), system([1, 2], [2, 1])), 24)
     assert all(x.ok for x in v) and rdp.status == "INCONCLUSIVE", (v, rdp)
 
@@ -412,7 +412,7 @@ def test_one_packing_per_packed_check(monkeypatch):
                       lambda: check_kite_rdp(A, bounded_sample(box, 24, 0))):
             built.clear()
             v = check()
-            # off a lattice the rdp search leaves quadruples without a witness
+            # off a lattice rdp has no meet to refine from and searches nothing
             assert v.ok or not A.G.has_meet and v.status == "INCONCLUSIVE", v
             counts.append(len(built))
         return counts

@@ -21,7 +21,7 @@ import pytest
 from kitealg import kite, packed, subdirect, verdict
 from kitealg.cli import bounded_sample
 from kitealg.kite import KiteAlgebra, KiteElement, LOWER, UPPER, check_pea_axioms
-from kitealg.pogroup import IntegerGroup, VectorGroup, parse_group
+from kitealg.pogroup import IntegerGroup, UnsupportedCarrier, VectorGroup, parse_group
 from kitealg.verdict import Verdict, sweep
 
 from conftest import EX_3_8, EX_8_2, EX_8_5, ObjectPath, set_budget, system
@@ -198,7 +198,7 @@ def reference_check_kite_rdp(A, sample, seed=0):
         quads = [rng.choice(quads) for _ in range(verdict.DRAWS)]
     found, witnesses = 0, []
     for quad in quads:
-        if kite.find_kite_refinement(A, *quad, sample) is not None:
+        if kite.find_kite_refinement(A, *quad) is not None:
             found += 1
         elif len(witnesses) < 5:
             witnesses.append(quad)
@@ -282,20 +282,32 @@ def test_fault_in_the_memo_alone_is_a_kernel_disagreement(monkeypatch):
         "corner memo and find_kite_refinement disagree")
 
 
-@pytest.mark.parametrize("group, searched", [("Z", "re-check"), ("lex(Z^2,Z)", "all")])
+@pytest.mark.parametrize("group, searched", [("Z", "re-check"), ("lex(Z^2,Z)", "none")])
 def test_find_kite_refinement_runs_where_the_memo_cannot(monkeypatch, group, searched):
-    # on a lattice only the re-check searches; off one every quadruple does
+    # on a lattice only the re-check searches; off one, where the meet the
+    # search refines from does not exist, nothing is searched or packed
     A = KiteAlgebra(parse_group(group), system([2, 3, 1], [3, 1, 2]))
     sample = bounded_sample(A.enumerate_box(1), 20, 3, keep=(A.zero, A.one))
     quads = len(_quadruples(A, sample))
-    calls, search = [], kite.find_kite_refinement
+    calls, search, built = [], kite.find_kite_refinement, []
     monkeypatch.setattr(kite, "find_kite_refinement",
                         lambda *args: calls.append(args) or search(*args))
-    kite.check_kite_rdp(A, sample)
+
+    class Counting(packed.Packing):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+    monkeypatch.setattr(packed, "Packing", Counting)
+    v = kite.check_kite_rdp(A, sample)
     if searched == "re-check":
-        assert quads > packed.RECHECK and len(calls) == packed.RECHECK
+        assert quads > packed.RECHECK and len(calls) == packed.RECHECK and len(built) == 1
+        assert v.ok
     else:
-        assert len(calls) == quads
+        e = ((0, 0), 0)
+        with pytest.raises(UnsupportedCarrier):
+            A.meet(A.lower(((0, 1), 0), e, e), A.lower(((1, 0), 0), e, e))
+        assert quads > 0 and calls == built == []
+        assert v == Verdict("INCONCLUSIVE", 0, (), "lex(Z^2,Z) has no meet: no quadruple searched")
 
 
 # ---------------------------------------------------------------------------
