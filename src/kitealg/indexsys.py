@@ -1,5 +1,6 @@
-"""Finite index systems: a pair of bijections on {0..n-1}, the connectivity
-relations they induce, connected components, and block-decomposition checks.
+"""Finite index systems: a pair of bijections on {0..n-1}, the connected
+components they induce, block-decomposition checks, and the system induced
+on the blocks of a valid decomposition.
 
 Composition convention, fixed globally: (f o g)(i) = f(g(i)), i.e. g is
 applied first.  Indices are 0-based internally and 1-based in all I/O.
@@ -143,23 +144,6 @@ def dual_components(sys: IndexSystem) -> Partition:
     return _orbits(derived_tau(sys))
 
 
-def _block_table(partition: Partition) -> dict[int, frozenset[int]]:
-    """The block of the partition that holds each index."""
-    return {i: b for b in partition for i in b}
-
-
-def is_connected(sys: IndexSystem, i: int, j: int) -> bool:
-    if not (0 <= i < sys.n and 0 <= j < sys.n):
-        raise IndexError("index out of range")
-    return j in _block_table(components(sys))[i]
-
-
-def is_dually_connected(sys: IndexSystem, i: int, j: int) -> bool:
-    if not (0 <= i < sys.n and 0 <= j < sys.n):
-        raise IndexError("index out of range")
-    return j in _block_table(dual_components(sys))[i]
-
-
 def check_component_laws(sys: IndexSystem) -> Verdict:
     """Verify the structural identities that components must satisfy.
 
@@ -167,7 +151,8 @@ def check_component_laws(sys: IndexSystem) -> Verdict:
     implementation bug rather than a property of the input.
     """
     comps = components(sys)
-    block, dblock = _block_table(comps), _block_table(dual_components(sys))
+    # the block that holds each index, in each partition
+    block, dblock = ({i: b for b in p for i in b} for p in (comps, dual_components(sys)))
     conn = lambda i, j: j in block[i]
     dconn = lambda i, j: j in dblock[i]
     lam, rho = sys.lam, sys.rho
@@ -235,6 +220,19 @@ def validate_decomposition(sys: IndexSystem, blocks) -> Verdict:
             verdicts.append(Verdict.failure((kind, _one_based(b), _one_based(image)), 1,
                                             f"image of {_fmt(b)} is not a block"))
     return merge(verdicts)
+
+
+def block_system(sys: IndexSystem, blocks) -> tuple[IndexSystem, list[int]]:
+    """The system lam and rho induce on the blocks of a valid decomposition
+    (numbered by least element), and the block of each index (owner).
+    Raises ValueError when the decomposition is not valid."""
+    blocks = normalize_partition(blocks, sys.n)
+    dec = validate_decomposition(sys, blocks)
+    if not dec.ok:
+        raise ValueError(f"invalid decomposition: {dec.detail}")
+    owner = [k for i in range(sys.n) for k, b in enumerate(blocks) if i in b]
+    lam, rho = (tuple(owner[p[min(b)]] for b in blocks) for p in (sys.lam, sys.rho))
+    return IndexSystem(len(blocks), lam, rho), owner
 
 
 def check_mixed_commutation(sys: IndexSystem, blocks) -> Verdict:

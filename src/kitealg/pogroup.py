@@ -20,10 +20,6 @@ class UnsupportedCarrier(Exception):
     """Raised when a bounded enumeration is requested on an opaque group."""
 
 
-class PreconditionError(ValueError):
-    """An operation was called with inputs violating its contract."""
-
-
 class PoGroup:
     """A group with a decidable translation-invariant partial order.
 
@@ -242,45 +238,6 @@ class DirectProduct(_ProductBase):
 
     def meet(self, a, b):
         return (self.left.meet(a[0], b[0]), self.right.meet(a[1], b[1]))
-
-
-class LoopGroup(PoGroup):
-    """A po-loop reinterpreted as a po-group; requires associativity.
-
-    Useful for producing associative but non-commutative carriers at desk
-    scale (e.g. the twisted product over Z with commuting twists).
-    """
-
-    def __init__(self, loop):
-        if not loop.twists_commute():
-            raise PreconditionError("loop is not associative; not a group")
-        self.loop = loop
-        self.name = f"group({loop.name})"
-
-    def op(self, a, b):
-        return self.loop.mul(a, b)
-
-    def inv(self, a):
-        right, left = self.loop.inverses(a)
-        # associativity forces the two inverses to coincide
-        if right != left:
-            raise PreconditionError("one-sided inverses differ; loop not a group")
-        return right
-
-    @property
-    def identity(self):
-        return self.loop.neutral
-
-    def leq(self, a, b):
-        return self.loop.leq(a, b)
-
-    def enumerate_box(self, bound):
-        return list(self.loop.enumerate_box(bound))
-
-    def encode(self, a):
-        return (a.m,) + tuple(
-            c for g in a.coords for c in self.loop.G.encode(g)
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The unital po-loop Z lex-times G^I with twisted multiplication, its
 interval pseudo effect algebra, the embedding of the kite, and the
-block-constant subgroup attached to a valid block decomposition.
+block-constant subgroup of a valid block decomposition, built as the image
+of the loop of the block system the twists induce.
 
 One-sided inverses are computed by solving the multiplication equation
 coordinatewise, never by transcribing index formulas whose meaning depends
@@ -17,13 +18,7 @@ from functools import cache, partial
 from typing import Optional
 
 from kitealg import packed, verdict
-from kitealg.indexsys import (
-    IndexSystem,
-    normalize_partition,
-    perm_compose,
-    perm_power,
-    validate_decomposition,
-)
+from kitealg.indexsys import IndexSystem, block_system, perm_compose, perm_power
 from kitealg.kite import (
     LOWER,
     KiteAlgebra,
@@ -33,7 +28,7 @@ from kitealg.kite import (
     packed_element,
     recheck,
 )
-from kitealg.pogroup import PoGroup
+from kitealg.pogroup import IntegerGroup, LexProduct, PoGroup
 from kitealg.verdict import Box, Verdict, sweep
 
 
@@ -364,93 +359,67 @@ def _embed_pairs(K, interval_leq, interval_add, phi, xs, ps, checked, seed) -> V
 # The block-constant subgroup
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockSubgroup:
-    parent: PoLoop
-    blocks: tuple
-
-    def contains(self, p: LoopElement) -> bool:
-        return all(len({p.coords[i] for i in block}) == 1 for block in self.blocks)
-
-    def owner(self) -> list[int]:
-        """The block of each coordinate."""
-        return [k for i in range(self.parent.sys.n) for k, b in enumerate(self.blocks) if i in b]
-
-    def enumerate_box(self, bound: int) -> Box:
-        """Block-constant elements with box coordinates: levels -bound..bound,
-        each over one group element per block."""
-        W, owner = self.parent, self.owner()
-        gbox = W.G.enumerate_box(bound)
-        return Box((lambda choice, m=m: LoopElement(m, tuple(map(choice.__getitem__, owner))),
-                    gbox, len(self.blocks)) for m in range(-bound, bound + 1))
+def _lift(owner):
+    """h -> h o owner: from the loop of a block system to the block-constant
+    element of W that repeats each block's coordinate."""
+    return lambda h: LoopElement(h.m, tuple(map(h.coords.__getitem__, owner)))
 
 
 def block_subgroup(W: PoLoop, blocks, bound: int = 2,
-                   seed: int = 0) -> tuple[BlockSubgroup, Verdict]:
-    """Build the block-constant subgroup and verify: closure under the product
-    (on one `sweep` of box pairs) and inverses on the box, associativity on
-    generic block-constant elements (one letter per block), membership of the
-    strong unit, and closure of the interval part under partial addition."""
-    blocks = normalize_partition(blocks, W.sys.n)
-    dec = validate_decomposition(W.sys, blocks)
-    if not dec.ok:
-        raise ValueError(f"invalid decomposition: {dec.detail}")
-    H = BlockSubgroup(W, blocks)
-    hbox = list(H.enumerate_box(bound))
+                   seed: int = 0) -> tuple[PoLoop, Verdict]:
+    """The block-constant subgroup H of a valid block decomposition is the
+    image of the block system's loop Wb = PoLoop(G, block_system) under
+    `_lift`.  Return Wb and verify on its box that the lift preserves the
+    product (on one `sweep` of box pairs), both inverses (so H is closed under
+    them and they agree) and the interval part's partial addition, and
+    associativity on generic block-constant elements (one letter per block).
+    Witnesses name elements of W."""
+    bsys, owner = block_system(W.sys, blocks)
+    Wb, lift = PoLoop(W.G, bsys), _lift(owner)
+    bbox = list(Wb.enumerate_box(bound))
+    hbox = list(map(lift, bbox))
     checked = 0
 
-    if not H.contains(W.unit):
-        return H, Verdict.failure(("unit-not-member",))
-
-    for p, q in sweep(hbox, 2, random.Random(seed))[1]:
+    for i, j in sweep(range(len(hbox)), 2, random.Random(seed))[1]:
         checked += 1
-        if not H.contains(W.mul(p, q)):
-            return H, Verdict.failure(("mul-closure", p, q), checked)
-    for p in hbox:
+        if W.mul(hbox[i], hbox[j]) != lift(Wb.mul(bbox[i], bbox[j])):
+            return Wb, Verdict.failure(("mul-homomorphism", hbox[i], hbox[j]), checked)
+    for a, p in zip(bbox, hbox):
         checked += 1
-        right, left = W.inverses(p)
-        if not (H.contains(right) and H.contains(left)):
-            return H, Verdict.failure(("inverse-closure", p), checked)
-        if right != left:
-            return H, Verdict.failure(("one-sided-inverses-differ", p), checked)
+        if W.inverses(p) != (lift(Wb.inverses(a)[0]),) * 2:
+            return Wb, Verdict.failure(("inverses", p), checked)
 
-    tried, defect = _generic_defect(W.sys, H.owner())
+    tried, defect = _generic_defect(W.sys, owner)
     checked += tried
     if defect is not None:
-        return H, Verdict.failure(("associativity", *defect[:2]), checked)
+        return Wb, Verdict.failure(("associativity", *defect[:2]), checked)
 
     gamma = GammaInterval(W)
-    interval_h = [p for p in hbox if gamma.contains(p)]
-    for p, q in itertools.product(interval_h, repeat=2):
+    interval = [(a, p) for a, p in zip(bbox, hbox) if gamma.contains(p)]
+    for (a, p), (b, q) in itertools.product(interval, repeat=2):
         checked += 1
         s = gamma.add(p, q)
-        if s is not None and not H.contains(s):
-            return H, Verdict.failure(("interval-closure", p, q), checked)
-
-    return H, Verdict.passed(checked, detail=f"|H-box| = {len(hbox)}")
+        if s is not None and s != lift(Wb.mul(a, b)):
+            return Wb, Verdict.failure(("interval-closure", p, q), checked)
+    return Wb, Verdict.passed(checked, detail=f"|H-box| = {len(hbox)}")
 
 
 def check_whole_block_lex_agreement(W: PoLoop, bound: int = 2) -> Verdict:
-    """For the one-block decomposition, H is the constant-tuple subloop; its
-    interval must agree elementwise with Gamma(Z lex G, (1, 0)) on the box."""
-    from kitealg.pogroup import IntegerGroup, LexProduct
-
-    G = W.G
+    """For the one-block decomposition, H is the constant-tuple subloop: its
+    interval, the lift of the one-block loop's, must agree elementwise with
+    Gamma(Z lex G, (1, 0)), both built from levels 0 and 1 over the box."""
+    G, gamma = W.G, GammaInterval(W)
     lex = LexProduct(IntegerGroup(), G)
-    lex_unit = (1, G.identity)
-    lex_zero = (0, G.identity)
-    H = BlockSubgroup(W, (frozenset(range(W.sys.n)),))
-    gamma = GammaInterval(W)
-    hbox = [p for p in H.enumerate_box(bound) if gamma.contains(p)]
+    lex_zero, lex_unit = (0, G.identity), (1, G.identity)
+    bsys, owner = block_system(W.sys, [range(W.sys.n)])
+    hbox = list(map(_lift(owner), GammaInterval(PoLoop(G, bsys)).enumerate_box(bound)))
     checked = 0
 
     def to_lex(p: LoopElement):
         return (p.m, p.coords[0])
 
-    lex_interval = [
-        g for g in lex.enumerate_box(bound)
-        if lex.leq(lex_zero, g) and lex.leq(g, lex_unit)
-    ]
+    lex_interval = [g for g in itertools.product((0, 1), G.enumerate_box(bound))
+                    if lex.leq(lex_zero, g) and lex.leq(g, lex_unit)]
     if sorted(map(to_lex, hbox), key=lex.encode) != sorted(lex_interval, key=lex.encode):
         return Verdict.failure(("carrier-mismatch",), checked)
     for p, q in itertools.product(hbox, repeat=2):

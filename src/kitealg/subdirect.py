@@ -1,6 +1,6 @@
 """Subdirect representation of a kite over the connected components of its
-index system: coordinate-restriction projections, the embedding report, and
-the irreducibility dichotomy.
+index system: coordinate-restriction projections, the embedding report and
+the kernel check.
 
 Quotients are never materialized; the projection onto a component is the
 coordinate restriction, with Lower tuples restricted to the component's
@@ -244,31 +244,3 @@ def check_kernel_projects_to_zero(A: KiteAlgebra, kernels, targets, box, table) 
             return Verdict.failure(("kernel-intersection", x), checked)
     return Verdict.passed(checked)
 
-
-REDUCIBLE = "REDUCIBLE"
-IRREDUCIBLE_CANDIDATE = "IRREDUCIBLE-CANDIDATE"
-
-
-@dataclass(frozen=True)
-class IrreducibilityVerdict:
-    result: str
-    clause: str | None
-    detail: str
-
-
-def irreducibility_verdict(A: KiteAlgebra,
-                           g_subdirectly_irreducible: bool) -> IrreducibilityVerdict:
-    """The dichotomy: reducible when the base group is reducible (clause i) or
-    when some indices are disconnected (clause ii); otherwise the kite is an
-    irreducibility candidate.  The group-side fact is supplied by the caller."""
-    comps = components(A.sys)
-    if len(comps) > 1:
-        return IrreducibilityVerdict(
-            REDUCIBLE, "ii",
-            f"{len(comps)} connected components: disconnected index pair exists")
-    if not g_subdirectly_irreducible:
-        return IrreducibilityVerdict(
-            REDUCIBLE, "i", "base group flagged as not subdirectly irreducible")
-    return IrreducibilityVerdict(
-        IRREDUCIBLE_CANDIDATE, None,
-        "single component and base group flagged subdirectly irreducible")

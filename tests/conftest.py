@@ -1,6 +1,7 @@
 """Shared fixtures: the built-in example systems, the fixed family of ten
-permutation pairs used across the verification tests, and the test oracles
-that check the package's groups and index systems from first principles."""
+permutation pairs used across the verification tests, the test oracles
+that check the package's groups and index systems from first principles,
+and LoopGroup, an associative po-loop read as a non-commutative group."""
 
 import itertools
 import random
@@ -10,6 +11,7 @@ import pytest
 from kitealg import verdict
 from kitealg.indexsys import IndexSystem, derived_sigma, perm_inverse, perm_order
 from kitealg.kite import KiteAlgebra
+from kitealg.pogroup import PoGroup
 from kitealg.verdict import Verdict, sweep
 
 # the four built-in example systems (1-based images, n = 4)
@@ -123,3 +125,46 @@ def check_po_group_axioms(G, bound: int, translation_samples: int = 200,
         if not G.leq(G.op(G.op(x, a), y), G.op(G.op(x, b), y)):
             return Verdict.failure(("translation", a, b, x, y), checked)
     return Verdict.passed(checked)
+
+
+class PreconditionError(ValueError):
+    """An operation was called with inputs violating its contract."""
+
+
+class LoopGroup(PoGroup):
+    """A po-loop reinterpreted as a po-group; requires associativity.
+
+    Useful for producing associative but non-commutative carriers at desk
+    scale (e.g. the twisted product over Z with commuting twists).
+    """
+
+    def __init__(self, loop):
+        if not loop.twists_commute():
+            raise PreconditionError("loop is not associative; not a group")
+        self.loop = loop
+        self.name = f"group({loop.name})"
+
+    def op(self, a, b):
+        return self.loop.mul(a, b)
+
+    def inv(self, a):
+        right, left = self.loop.inverses(a)
+        # associativity forces the two inverses to coincide
+        if right != left:
+            raise PreconditionError("one-sided inverses differ; loop not a group")
+        return right
+
+    @property
+    def identity(self):
+        return self.loop.neutral
+
+    def leq(self, a, b):
+        return self.loop.leq(a, b)
+
+    def enumerate_box(self, bound):
+        return list(self.loop.enumerate_box(bound))
+
+    def encode(self, a):
+        return (a.m,) + tuple(
+            c for g in a.coords for c in self.loop.G.encode(g)
+        )

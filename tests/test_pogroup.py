@@ -1,5 +1,6 @@
 """Po-group instances, enumeration, meets, the descriptor parser, and the
-po-group laws of the built-in groups and of LoopGroup."""
+po-group laws of the built-in groups and of the test oracle LoopGroup
+(tests/conftest.py), a twisted po-loop read as a group."""
 
 import itertools
 
@@ -11,15 +12,13 @@ from kitealg.pogroup import (
     IntegerGroup,
     LexProduct,
     MAX_NESTING,
-    LoopGroup,
-    PreconditionError,
     UnsupportedCarrier,
     VectorGroup,
     parse_group,
 )
 from kitealg.poloop import PoLoop
 
-from conftest import check_po_group_axioms
+from conftest import LoopGroup, PreconditionError, check_po_group_axioms
 
 Z = IntegerGroup()
 Z2 = VectorGroup(2)

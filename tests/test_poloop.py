@@ -1,5 +1,5 @@
 """The twisted po-loop, its interval algebra, the kite embedding, and the
-block-constant subgroups."""
+block-constant subgroups, built from the loop of the induced block system."""
 
 import itertools
 import operator
@@ -8,10 +8,11 @@ import tracemalloc
 
 import pytest
 
+from kitealg import verdict
+from kitealg.indexsys import validate_decomposition
 from kitealg.kite import KiteAlgebra
-from kitealg.pogroup import IntegerGroup, LexProduct, LoopGroup, VectorGroup
+from kitealg.pogroup import IntegerGroup, LexProduct, VectorGroup
 from kitealg.poloop import (
-    BlockSubgroup,
     GammaInterval,
     LoopElement,
     PoLoop,
@@ -25,7 +26,7 @@ from kitealg.poloop import (
     strong_unit_check,
 )
 
-from conftest import EX_3_8, EX_8_2, EX_8_4, EX_8_5, TEN_SYSTEMS, system
+from conftest import EX_3_8, EX_8_2, EX_8_4, EX_8_5, TEN_SYSTEMS, LoopGroup, system
 
 Z = IntegerGroup()
 
@@ -341,22 +342,70 @@ class TestEmbedding:
         assert gamma.check_complements(0).ok
 
 
-class TestBlockSubgroup:
-    def test_membership(self, W82):
-        H = BlockSubgroup(W82, (frozenset({0, 1, 2}), frozenset({3})))
-        assert H.contains(LoopElement(0, (5, 5, 5, 2)))
-        assert not H.contains(LoopElement(0, (5, 5, 4, 2)))
+def set_partitions(items):
+    """Every set partition of the list items, each a list of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for p in set_partitions(rest):
+        yield [[first], *p]
+        for k in range(len(p)):
+            yield [*p[:k], [first, *p[k]], *p[k + 1:]]
 
-    def test_box_size(self, W82):
-        H = BlockSubgroup(W82, (frozenset({0, 1, 2}), frozenset({3})))
-        # 3 m-levels, 3 choices per block
-        assert len(H.enumerate_box(1)) == 3 * 3 * 3
+
+class WrongTwist(PoLoop):
+    """A planted fault: the product reads rho where it should read lambda."""
+
+    def mul(self, p, q):
+        return LoopElement(p.m + q.m, self.G.op_each(
+            map(p.coords.__getitem__, self.rho_pow(-q.m)),
+            map(q.coords.__getitem__, self.rho_pow(-p.m))))
+
+
+class TestBlockSubgroup:
+    @pytest.mark.parametrize("G", [Z, VectorGroup(2)], ids=["Z", "Z^2"])
+    @pytest.mark.parametrize("name,lam,rho", TEN_SYSTEMS,
+                             ids=[t[0] for t in TEN_SYSTEMS])
+    def test_lift_is_the_block_constant_filter(self, G, name, lam, rho):
+        # for every valid decomposition: the block system's box, lifted, is
+        # the block-constant part of W's own box in W's order, and the
+        # verdict counts the pairs, one inverse check per element, the 27
+        # generic level triples and every pair of the interval part
+        W = PoLoop(G, system(lam, rho))
+        wbox = list(W.enumerate_box(1))
+        gamma = GammaInterval(W)
+        valid = [b for b in set_partitions(list(range(W.sys.n)))
+                 if validate_decomposition(W.sys, b).ok]
+        assert [list(range(W.sys.n))] in valid
+        for blocks in valid:
+            blocks = sorted(map(set, blocks), key=min)
+            owner = [next(k for k, b in enumerate(blocks) if i in b) for i in range(W.sys.n)]
+            Wb, v = block_subgroup(W, blocks, bound=1)
+            for k, b in enumerate(blocks):
+                assert {W.sys.lam[i] for i in b} == blocks[Wb.sys.lam[k]]
+                assert {W.sys.rho[i] for i in b} == blocks[Wb.sys.rho[k]]
+            hbox = [p for p in wbox if all(len({p.coords[i] for i in b}) == 1 for b in blocks)]
+            lifted = [LoopElement(h.m, tuple(h.coords[k] for k in owner))
+                      for h in Wb.enumerate_box(1)]
+            assert lifted == hbox, blocks
+            pairs = len(hbox) ** 2 if len(hbox) ** 2 <= verdict.CAP else verdict.DRAWS
+            interval = sum(map(gamma.contains, hbox))
+            assert v.ok and v.checked == pairs + len(hbox) + 27 + interval ** 2, (blocks, v)
+
+    def test_wrong_twist_fails(self, ex84):
+        # the planted product keeps the block-constant elements closed on
+        # ex8.4's blocks; the lift's homomorphism check catches it
+        _, v = block_subgroup(WrongTwist(Z, ex84), [{0, 3}, {1, 2}], bound=1)
+        assert v.failed and v.witnesses[0][0] == "mul-homomorphism", v
 
     def test_valid_decomposition_passes(self, ex84):
         W = PoLoop(Z, ex84)
-        H, v = block_subgroup(W, [{0, 3}, {1, 2}], bound=1)
+        Wb, v = block_subgroup(W, [{0, 3}, {1, 2}], bound=1)
         assert v.ok, v.detail
-        assert H.contains(W.unit)
+        # the twists induce swap-2 on the blocks, whose unit lifts to W's
+        assert Wb.sys == system([1, 2], [2, 1])
+        assert LoopElement(1, tuple(Wb.unit.coords[k] for k in (0, 1, 1, 0))) == W.unit
 
     def test_whole_block_always_valid(self):
         for name, lam, rho in TEN_SYSTEMS:

@@ -1,5 +1,4 @@
-"""Component projections, the subdirect embedding report, kernels, and the
-irreducibility dichotomy."""
+"""Component projections, the subdirect embedding report and kernels."""
 
 import pytest
 
@@ -7,12 +6,9 @@ from kitealg.indexsys import components
 from kitealg.kite import KiteAlgebra, KiteElement, LOWER
 from kitealg.pogroup import IntegerGroup
 from kitealg.subdirect import (
-    IRREDUCIBLE_CANDIDATE,
     NotAComponent,
-    REDUCIBLE,
     component_algebra,
     component_kernel,
-    irreducibility_verdict,
     project_component,
     reconstruct,
     restricted_system,
@@ -109,18 +105,3 @@ class TestKernelZero:
         report = subdirect_embedding_check(KiteAlgebra(Z, system(lam, rho)), bound=1)
         assert report.kernel_check.ok and report.kernel_check.checked > 0
 
-
-class TestIrreducibility:
-    def test_disconnected_is_reducible(self, A82):
-        v = irreducibility_verdict(A82, g_subdirectly_irreducible=True)
-        assert v.result == REDUCIBLE and v.clause == "ii"
-
-    def test_reducible_group(self, ex84):
-        v = irreducibility_verdict(KiteAlgebra(Z, ex84),
-                                   g_subdirectly_irreducible=False)
-        assert v.result == REDUCIBLE and v.clause == "i"
-
-    def test_candidate(self, ex84):
-        v = irreducibility_verdict(KiteAlgebra(Z, ex84),
-                                   g_subdirectly_irreducible=True)
-        assert v.result == IRREDUCIBLE_CANDIDATE and v.clause is None

@@ -215,9 +215,9 @@ class TestOneBudget:
     @REGIMES
     def test_block_subgroup_pairs(self, monkeypatch, over):
         W = PoLoop(IntegerGroup(), system(*EX_8_4))
-        H, _ = block_subgroup(W, [{0, 3}, {1, 2}], bound=1)
-        hbox = list(H.enumerate_box(1))
-        interval = sum(map(GammaInterval(W).contains, hbox))
+        Wb, _ = block_subgroup(W, [{0, 3}, {1, 2}], bound=1)
+        hbox = list(Wb.enumerate_box(1))
+        interval = sum(map(GammaInterval(Wb).contains, hbox))
         pairs = self.swept(monkeypatch, len(hbox) ** 2, over)
         _, v = block_subgroup(W, [{0, 3}, {1, 2}], bound=1)
         # the product pairs, one inverse check per element, the 27 generic
